@@ -30,6 +30,7 @@ from .engine import (
 )
 from .gallery import parse_sampler_spec
 from .limits import (
+    GUIDE_NAME,
     WEIGHT_PRESETS,
     LimitError,
     SeparationError,
@@ -135,6 +136,19 @@ def _formula(text: str, signature: Signature):
         return _qf_from_tree(parse_sexpr(text), signature)
     except (SexprError, MorleyError, LogicError, ValueError, IndexError) as exc:
         raise UsageError(f"bad formula {text!r}: {exc}")
+
+
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # named in argparse's "invalid int value" message
+    return parse
 
 
 def _int_list(text: str, what: str) -> tuple[int, ...]:
@@ -348,14 +362,10 @@ def _cmd_morleyize(args):
 
 
 def _cmd_build_limit(args):
-    if args.guide != "kaleidoscope-predicate":
+    if args.guide != GUIDE_NAME:
         raise UsageError(f"unknown --guide {args.guide!r}")
-    if args.stages < 1:
-        raise UsageError("--stages must be >= 1")
     try:
-        handle = build_limit(
-            args.stages, _seed(args), guide=args.guide, base_depth=args.base_depth
-        )
+        handle = build_limit(args.stages, _seed(args), base_depth=args.base_depth)
     except LimitError as exc:
         doc = {"kind": "build-limit-error", "error": str(exc)}
         return EXIT_VIOLATION, json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -454,7 +464,7 @@ def _cmd_rescale(args):
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", default=DEFAULT_SEED, help="128-bit hex master seed")
-    common.add_argument("--trials", type=int, default=1000)
+    common.add_argument("--trials", type=_int_at_least(1), default=1000)
     common.add_argument("--out", default=None, help="write output here instead of stdout")
     common.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     common.add_argument(
@@ -473,7 +483,7 @@ def build_parser() -> _Parser:
 
     p = add("sample", _cmd_sample, help="sample one finite structure")
     p.add_argument("--sampler", required=True)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_int_at_least(0), required=True)
 
     p = add("estimate", _cmd_estimate, help="Monte Carlo measure of a qf event")
     p.add_argument("--sampler", required=True)
@@ -493,24 +503,24 @@ def build_parser() -> _Parser:
 
     p = add("coherence", _cmd_coherence, help="exact restriction/equivariance check")
     p.add_argument("--sampler", required=True)
-    p.add_argument("-n", type=int, default=5)
-    p.add_argument("-m", type=int, default=3)
+    p.add_argument("-n", type=_int_at_least(0), default=5)
+    p.add_argument("-m", type=_int_at_least(0), default=3)
 
     p = add("collide", _cmd_collide, help="two-block fingerprint collision rate")
     p.add_argument("--sampler", required=True)
-    p.add_argument("-n", type=int, default=1)
+    p.add_argument("-n", type=_int_at_least(1), default=1)
     p.add_argument("--expect", type=float, default=None)
     p.add_argument("--z-limit", type=float, default=3.0)
 
     p = add("roots", _cmd_roots, help="rootedness sweep over one sampled structure")
     p.add_argument("--sampler", required=True)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_int_at_least(0), required=True)
     p.add_argument("--chi", default="(not (eq x0 x1))")
     p.add_argument("--sub", default=None, help='sublanguage indices, e.g. "0 1"')
 
     p = add("postypes", _cmd_postypes, help="positive-frequency fingerprint spectrum")
     p.add_argument("--sampler", required=True)
-    p.add_argument("--arity", type=int, required=True)
+    p.add_argument("--arity", type=_int_at_least(0), required=True)
     p.add_argument("--epsilon", type=float, default=0.05)
 
     p = add("morleyize", _cmd_morleyize, help="emit defining axioms for a fragment")
@@ -519,22 +529,22 @@ def build_parser() -> _Parser:
     p.add_argument("--sentence", action="append", default=[], help="inline sentence s-expr")
 
     p = add("build-limit", _cmd_build_limit, help="run the staged limit construction")
-    p.add_argument("--guide", default="kaleidoscope-predicate")
-    p.add_argument("--stages", type=int, required=True)
-    p.add_argument("--base-depth", type=int, default=4)
+    p.add_argument("--guide", default=GUIDE_NAME)
+    p.add_argument("--stages", type=_int_at_least(1), required=True)
+    p.add_argument("--base-depth", type=_int_at_least(2), default=4)
 
     p = add("limit-sample", _cmd_limit_sample, help="sample points of a built limit")
     p.add_argument("--manifest", required=True, help="build manifest from build-limit")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("-n", type=_int_at_least(0), required=True)
+    p.add_argument("--depth", type=_int_at_least(0), required=True)
     p.add_argument("--no-audit", action="store_true")
 
     p = add("rescale", _cmd_rescale, help="reweight a built limit and compare marginals")
     p.add_argument("--manifest", required=True)
     p.add_argument("--preset", required=True)
-    p.add_argument("--stage", type=int, default=None)
-    p.add_argument("--level", type=int, default=0)
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--stage", type=_int_at_least(0), default=None)
+    p.add_argument("--level", type=_int_at_least(0), default=0)
+    p.add_argument("--depth", type=_int_at_least(0), default=None)
 
     return parser
 

@@ -18,11 +18,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .logic import (
     FiniteStructure,
-    LogicError,
     Permutation,
     QfFormula,
     Signature,
@@ -155,22 +154,6 @@ def estimate_measure(
         if fp.models(phi):
             count += 1
     return _report(statistic or "measure", count, trials, seed)
-
-
-def _shift_vars(phi: QfFormula, offset: int) -> QfFormula:
-    from .logic import And, Eq, Not, Or, Rel
-
-    if isinstance(phi, Rel):
-        return Rel(phi.sym, tuple(v + offset for v in phi.args))
-    if isinstance(phi, Eq):
-        return Eq(phi.left + offset, phi.right + offset)
-    if isinstance(phi, Not):
-        return Not(_shift_vars(phi.sub, offset))
-    if isinstance(phi, And):
-        return And(tuple(_shift_vars(s, offset) for s in phi.subs))
-    if isinstance(phi, Or):
-        return Or(tuple(_shift_vars(s, offset) for s in phi.subs))
-    raise LogicError(f"not a quantifier-free formula: {phi!r}")
 
 
 @dataclass(frozen=True)

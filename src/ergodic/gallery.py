@@ -1,9 +1,9 @@
 """Gallery of exchangeable structure samplers.
 
-Each constructor returns a sampler whose type function reads randomness
-only through subsets of tuple positions, so exchangeability holds by
-construction. The one deliberate exception is mixture_control, which
-reads the empty-set value to pick a global coin and therefore fails the
+Each sampler's type function reads randomness only through subsets of
+tuple positions, so exchangeability holds by construction. The one
+deliberate exception is MixtureControl, which reads the empty-set value
+to pick a global coin and therefore fails the
 independence-across-disjoint-tuples audit: it ships as the labeled
 negative fixture for dissociation testing.
 """
@@ -421,36 +421,8 @@ class MixtureControl(AhkSampler):
 
 
 # ---------------------------------------------------------------------------
-# constructors and CLI spec strings
+# CLI spec strings
 # ---------------------------------------------------------------------------
-
-
-def kaleidoscope_hypergraph(k: int, d: int) -> KaleidoscopeHypergraph:
-    return KaleidoscopeHypergraph(k, d)
-
-
-def max_graph(d: int) -> MaxGraph:
-    return MaxGraph(d)
-
-
-def geometric_graph(dim: int, norm: str = "euclidean", p: float = 0.5) -> GeometricGraph:
-    return GeometricGraph(dim, norm, p)
-
-
-def blowup_control(d: int) -> BlowupControl:
-    return BlowupControl(d)
-
-
-def kaleidoscope_digraph(d: int) -> KaleidoscopeDigraph:
-    return KaleidoscopeDigraph(d)
-
-
-def bipartite_labels(i_depth: int, j_depth: int) -> BipartiteLabels:
-    return BipartiteLabels(i_depth, j_depth)
-
-
-def mixture_control(p1: float, p2: float) -> MixtureControl:
-    return MixtureControl(p1, p2)
 
 
 GALLERY = (
@@ -482,23 +454,23 @@ def parse_sampler_spec(spec: str) -> AhkSampler:
     params = _parse_params(rest)
     try:
         if head == "kaleidoscope":
-            built = kaleidoscope_hypergraph(int(params.pop("k")), int(params.pop("d")))
+            built = KaleidoscopeHypergraph(int(params.pop("k")), int(params.pop("d")))
         elif head == "maxgraph":
-            built = max_graph(int(params.pop("d")))
+            built = MaxGraph(int(params.pop("d")))
         elif head == "geometric":
-            built = geometric_graph(
+            built = GeometricGraph(
                 int(params.pop("dim")),
                 params.pop("norm", "euclidean"),
                 float(params.pop("p", "0.5")),
             )
         elif head == "blowup":
-            built = blowup_control(int(params.pop("d")))
+            built = BlowupControl(int(params.pop("d")))
         elif head == "digraph":
-            built = kaleidoscope_digraph(int(params.pop("d")))
+            built = KaleidoscopeDigraph(int(params.pop("d")))
         elif head == "bipartite":
-            built = bipartite_labels(int(params.pop("i")), int(params.pop("j")))
+            built = BipartiteLabels(int(params.pop("i")), int(params.pop("j")))
         elif head == "mixture":
-            built = mixture_control(float(params.pop("p1")), float(params.pop("p2")))
+            built = MixtureControl(float(params.pop("p1")), float(params.pop("p2")))
         else:
             raise ValueError(
                 f"unknown sampler {head!r} (expected one of {', '.join(GALLERY)})"

@@ -30,11 +30,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
-from .logic import FiniteStructure, Rel, Signature, eval_qf
+from .logic import FiniteStructure, Rel, Signature, eval_qf, map_leaves, qf_leaves
 from .morley import (
     Axiom,
     FAnd,
@@ -126,7 +126,6 @@ class BuildTheory:
     """
 
     base_depth: int
-    scheme_prefix: int
     sentences: tuple[str, ...]
     result: MorleyResult
     language: Signature
@@ -145,9 +144,9 @@ class BuildTheory:
         return self.tail_start + 2 * (n - self.base_depth)
 
     def iff_symbol(self, n: int) -> int:
-        if n < self.scheme_prefix:
+        if n < self.base_depth:
             return self.result.node_symbol(self.iff_nodes[n])
-        return self.tail_start + 2 * (n - self.scheme_prefix) + 1
+        return self.tail_start + 2 * (n - self.base_depth) + 1
 
     @property
     def sc_symbol(self) -> int:
@@ -169,9 +168,6 @@ class BuildTheory:
             return 1 << n
         return self.node_bits[n]
 
-    def node_formula(self, node_index: int) -> Fragment:
-        return self.result.nodes[node_index].formula
-
 
 def _formula_bits(phi: Fragment) -> int:
     """Predicate levels read by structural evaluation of a node formula.
@@ -191,19 +187,18 @@ def _formula_bits(phi: Fragment) -> int:
     return 0
 
 
-def build_theory(base_depth: int = 4, scheme_prefix: int | None = None) -> BuildTheory:
-    if scheme_prefix is None:
-        scheme_prefix = base_depth
-    if scheme_prefix != base_depth:
-        # the tail interleaves P_n with Riff_n at the same level; distinct
-        # prefixes would leave holes in the id layout
-        raise LimitError("base_depth and scheme_prefix must agree")
+def build_theory(base_depth: int = 4) -> BuildTheory:
+    """The guided theory over base_depth base predicates.
+
+    The agreement scheme is materialized to the same prefix, because the
+    tail interleaves P_n with Riff_n at the same level n.
+    """
     if base_depth < 2:
         raise LimitError("need at least two base predicates")
 
     sentences = tuple(
         [_pattern_sentence(mask, bits) for mask, bits in _EXT_PATTERNS]
-        + [_agreement_sentence(scheme_prefix)]
+        + [_agreement_sentence(base_depth)]
     )
     base = Signature(tuple((f"P{n}", 1) for n in range(base_depth)))
     parsed = [parse_fragment(s) for s in sentences]
@@ -214,14 +209,14 @@ def build_theory(base_depth: int = 4, scheme_prefix: int | None = None) -> Build
         ext_patterns[result.node_of(spec)] = (mask, bits)
 
     iff_nodes = []
-    for n in range(scheme_prefix):
+    for n in range(base_depth):
         inst = parse_fragment(
             f"(or (and (rel P{n} x) (rel P{n} y))"
             f" (and (not (rel P{n} x)) (not (rel P{n} y))))"
         )
         iff_nodes.append(result.node_of(inst))
 
-    scheme = parse_fragment(_agreement_sentence(scheme_prefix))
+    scheme = parse_fragment(_agreement_sentence(base_depth))
     assert isinstance(scheme, FForall) and isinstance(scheme.sub, FForall)
     top = scheme.sub.sub
     assert isinstance(top, FOr) and isinstance(top.subs[0], FNot)
@@ -249,7 +244,6 @@ def build_theory(base_depth: int = 4, scheme_prefix: int | None = None) -> Build
 
     return BuildTheory(
         base_depth=base_depth,
-        scheme_prefix=scheme_prefix,
         sentences=sentences,
         result=result,
         language=language,
@@ -373,9 +367,6 @@ class KaleidoscopePredicateGuide:
             self._vals[handle] |= 1 << level
         return v
 
-    def decided_levels(self, handle: int) -> int:
-        return self._mask[handle]
-
     # -- relations -----------------------------------------------------------
 
     def fact(self, sym: int, handles: tuple[int, ...]) -> bool:
@@ -408,7 +399,7 @@ class KaleidoscopePredicateGuide:
         if isinstance(phi, FSchemeAnd):
             # total agreement collapses to identity: distinct handles
             # differ at some level with certainty under the bit model
-            return len(set(env[v] for v in _scheme_args(phi))) == 1
+            return len(set(env[v] for v in canonical_vars(phi))) == 1
         if isinstance(phi, (FForall, FExists)):
             # closed under the guided theory; constant on all elements
             return True
@@ -426,45 +417,6 @@ class KaleidoscopePredicateGuide:
             if self.bit(a, n) != self.bit(b, n):
                 return n
         raise GuideError(f"handles {a} and {b} agree on {_SEPARATION_CAP} levels")
-
-    def separating_symbol(self, a: int, b: int, start: int = 0) -> int:
-        return self.theory.pred_symbol(self.separating_level(a, b, start))
-
-    def refuting_literal(self, qtype: QType, handles: tuple[int, ...],
-                         materialized_levels) -> tuple[int, bool, int | None]:
-        """(symbol, expected truth value, fresh level or None) refuting the type.
-
-        Picks a literal of the omitted type that is false on the tuple:
-        the scheme literal on repeated entries, otherwise an agreement
-        literal at a level where the two elements differ. When no
-        materialized level separates them, a fresh one is decided and
-        reported so the caller can admit its symbols to the language.
-        """
-        if qtype.source != self.sc_node_index():
-            raise GuideError("unknown omitted type")
-        x, y = handles
-        if x == y:
-            # the type demands the scheme literal be false; on a repeat it is true
-            return (self.theory.sc_symbol, False, None)
-        for n in sorted(materialized_levels):
-            if self.bit(x, n) != self.bit(y, n):
-                return (self.theory.iff_symbol(n), True, None)
-        n = self.separating_level(x, y, start=max(materialized_levels, default=-1) + 1)
-        return (self.theory.iff_symbol(n), True, n)
-
-    def sc_node_index(self) -> int:
-        return self.theory.sc_node
-
-
-def kaleidoscope_guide(seed: SeedKey | None = None,
-                       theory: BuildTheory | None = None) -> KaleidoscopePredicateGuide:
-    if seed is None:
-        seed = SeedKey(0)
-    return KaleidoscopePredicateGuide(seed, theory)
-
-
-def _scheme_args(phi: FSchemeAnd) -> tuple[str, ...]:
-    return canonical_vars(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -858,14 +810,27 @@ def stage_invariants(prev: Stage, nxt: Stage,
 # ---------------------------------------------------------------------------
 
 
+GUIDE_NAME = "kaleidoscope-predicate"  # the one guide; build manifests name it
+
+
+def _fiber(st: Stage, parent_pos: int, nums: list[int], star_num: int,
+           den: int) -> tuple[list[int], list[int], int]:
+    """Children of a stage-k position at stage k+1 = st, with their masses.
+
+    A carried element's children are itself and its copy; the reservoir's
+    are the reservoir and the new elements. `nums`, `star_num` and `den`
+    are stage st's masses.
+    """
+    if parent_pos == STAR:
+        return [STAR, *range(2 * st.split, st.size)], [star_num, *nums[2 * st.split:]], den
+    positions = [parent_pos, st.split + parent_pos]
+    return positions, [nums[p] for p in positions], den
+
+
 class LimitHandle:
     """Built stages plus the guide, extended on demand."""
 
-    def __init__(self, seed: SeedKey, theory: BuildTheory | None = None,
-                 guide_name: str = "kaleidoscope-predicate"):
-        if guide_name != "kaleidoscope-predicate":
-            raise LimitError(f"unknown guide {guide_name!r}")
-        self.guide_name = guide_name
+    def __init__(self, seed: SeedKey, theory: BuildTheory | None = None):
         self.seed = seed
         self.theory = theory if theory is not None else build_theory()
         self.guide = KaleidoscopePredicateGuide(seed, self.theory)
@@ -896,29 +861,19 @@ class LimitHandle:
     def depth(self) -> int:
         return len(self.stages) - 1
 
-    # fiber layout: children of a position at stage k+1
     def fiber(self, k_child: int, parent_pos: int) -> tuple[list[int], list[int], int]:
         """(child positions, child numerators, denominator); STAR is a child of STAR."""
         st = self.stage(k_child)
-        if parent_pos == STAR:
-            positions = [STAR] + list(range(2 * st.split, st.size))
-            nums = [st.star_num] + st.nums[2 * st.split:]
-        else:
-            positions = [parent_pos, st.split + parent_pos]
-            nums = [st.nums[p] for p in positions]
-        return positions, nums, st.den
+        return _fiber(st, parent_pos, st.nums, st.star_num, st.den)
 
     def level_masses(self, k: int) -> tuple[list[int], int, int]:
         st = self.stage(k)
         return list(st.nums), st.star_num, st.den
 
 
-def build_limit(stages: int, seed: SeedKey,
-                guide: str = "kaleidoscope-predicate",
-                base_depth: int = 4,
+def build_limit(stages: int, seed: SeedKey, base_depth: int = 4,
                 check: bool = True) -> LimitHandle:
-    theory = build_theory(base_depth=base_depth)
-    handle = LimitHandle(seed, theory, guide_name=guide)
+    handle = LimitHandle(seed, build_theory(base_depth=base_depth))
     handle.advance_to(stages, check=check)
     return handle
 
@@ -970,12 +925,6 @@ class PathPoint:
             return None
         return self.handle.stage(k).uids[pos]
 
-    def first_level(self) -> int:
-        k = 1
-        while self.position(k) == STAR:
-            k += 1
-        return k
-
 
 def sample_point(handle: LimitHandle, depth: int, seed: SeedKey) -> PathPoint:
     point = PathPoint(handle, seed)
@@ -990,9 +939,6 @@ class LimitSample:
     uids: tuple[int, ...]
     depth: int
     read_level: int
-
-    def symbol_position(self, sym: int) -> int:
-        return self.symbol_ids.index(sym)
 
 
 def sample_structure(handle: LimitHandle, m: int, depth: int, seed: SeedKey,
@@ -1059,51 +1005,21 @@ def sample_structure(handle: LimitHandle, m: int, depth: int, seed: SeedKey,
 # ---------------------------------------------------------------------------
 
 
-def _axiom_symbols(axiom: Axiom) -> frozenset[int]:
-    out: set[int] = set()
-
-    def walk(phi) -> None:
-        if isinstance(phi, Rel):
-            out.add(phi.sym)
-        elif hasattr(phi, "sub"):
-            walk(phi.sub)
-        elif hasattr(phi, "subs"):
-            for s in phi.subs:
-                walk(s)
-
-    walk(axiom.matrix)
-    return frozenset(out)
-
-
-def _remap_matrix(phi, mapping: dict[int, int]):
-    from .logic import And, Eq, Not, Or
-
-    if isinstance(phi, Rel):
-        return Rel(mapping[phi.sym], phi.args)
-    if isinstance(phi, Eq):
-        return phi
-    if isinstance(phi, Not):
-        return Not(_remap_matrix(phi.sub, mapping))
-    if isinstance(phi, And):
-        return And(tuple(_remap_matrix(s, mapping) for s in phi.subs))
-    if isinstance(phi, Or):
-        return Or(tuple(_remap_matrix(s, mapping) for s in phi.subs))
-    raise LimitError(f"unexpected matrix node {phi!r}")
-
-
 def materialized_universal_axioms(theory: BuildTheory,
                                   symbol_ids) -> list[Axiom]:
     available = frozenset(symbol_ids)
     return [
         ax
         for ax in theory.result.universal_axioms
-        if _axiom_symbols(ax) <= available
+        if {f.sym for f in qf_leaves(ax.matrix) if isinstance(f, Rel)} <= available
     ]
 
 
 def snapshot_axiom_holds(sample: LimitSample, axiom: Axiom) -> bool:
     mapping = {sym: i for i, sym in enumerate(sample.symbol_ids)}
-    matrix = _remap_matrix(axiom.matrix, mapping)
+    matrix = map_leaves(
+        axiom.matrix, lambda f: Rel(mapping[f.sym], f.args) if isinstance(f, Rel) else f
+    )
     n = sample.structure.domain_size
     if axiom.prefix and n == 0:
         return True
@@ -1127,7 +1043,7 @@ def scheduled_type_literals(theory: BuildTheory,
         sym = theory.iff_symbol(n)
         if sym in available:
             out.append((sym, True))
-        elif n >= theory.scheme_prefix and sym > max(available, default=0):
+        elif n >= theory.base_depth and sym > max(available, default=0):
             break
         n += 1
         if n > 4 * _SEPARATION_CAP:
@@ -1197,7 +1113,7 @@ class Weight:
             raise LimitError("cell masses must sum to 1")
 
 
-class RescaledHandle(LimitHandle):
+class RescaledHandle:
     """View of a built limit with the measure reweighted on one stage.
 
     Each cell's total mass is scaled to its target; the conditional
@@ -1213,12 +1129,6 @@ class RescaledHandle(LimitHandle):
             raise LimitError("weight partition does not match the stage")
         self.base = base
         self.weight = weight
-        self.guide_name = base.guide_name
-        self.seed = base.seed
-        self.theory = base.theory
-        self.guide = base.guide
-        self.stages = base.stages
-        self.reports = base.reports
 
         cell_mass = [Fraction(0)] * len(weight.labels)
         for pos, cell in enumerate(weight.assignment):
@@ -1232,36 +1142,18 @@ class RescaledHandle(LimitHandle):
 
         # exact masses at the weight's stage, then summed down the fibers
         self._levels: list[tuple[list[int], int, int]] = [None] * (weight.stage + 1)
-        scaled = [
-            st.mass(pos) * self.multipliers[cell]
-            for pos, cell in enumerate(weight.assignment)
-        ]
-        star_scaled = st.mass(STAR) * self.multipliers[weight.star_cell]
-        den = star_scaled.denominator
-        for f in scaled:
-            den = den * f.denominator // gcd(den, f.denominator)
-        nums = [int(f * den) for f in scaled]
-        self._levels[weight.stage] = (nums, int(star_scaled * den), den)
+        self._levels[weight.stage] = self.level_masses(weight.stage)
         for k in range(weight.stage - 1, -1, -1):
-            child_nums, child_star, child_den = self._levels[k + 1]
-            child = self.base.stage(k + 1)
-            size = self.base.stage(k).size
-            level_nums = [
-                child_nums[i] + child_nums[child.split + i] for i in range(size)
+            child = base.stage(k + 1)
+            sums = [
+                sum(_fiber(child, pos, *self._levels[k + 1])[1])
+                for pos in (*range(base.stage(k).size), STAR)
             ]
-            star = child_star + sum(child_nums[2 * child.split:])
-            self._levels[k] = (level_nums, star, child_den)
+            self._levels[k] = (sums[:-1], sums[-1], self._levels[k + 1][2])
 
-    # stages, schedule, and the guide all come from the base build
-    def stage(self, k: int) -> Stage:
-        return self.base.stage(k)
-
-    def advance_to(self, k: int, check: bool = False) -> None:
-        self.base.advance_to(k, check=check)
-
-    @property
-    def depth(self) -> int:
-        return self.base.depth
+    def __getattr__(self, name):
+        # stages, the schedule, the theory and the guide come from the base build
+        return getattr(self.base, name)
 
     def cell_of(self, k: int, pos: int) -> int:
         """Weight cell owning a stage-k position (k >= the weight's stage)."""
@@ -1276,34 +1168,22 @@ class RescaledHandle(LimitHandle):
         return self.weight.assignment[pos] if pos != STAR else self.weight.star_cell
 
     def fiber(self, k_child: int, parent_pos: int):
-        if k_child <= self.weight.stage:
-            st = self.base.stage(k_child)
-            nums, star, den = self._levels[k_child]
-            if parent_pos == STAR:
-                positions = [STAR] + list(range(2 * st.split, st.size))
-                fiber_nums = [star] + nums[2 * st.split:]
-            else:
-                positions = [parent_pos, st.split + parent_pos]
-                fiber_nums = [nums[p] for p in positions]
-            return positions, fiber_nums, den
-        # at or past the weight's stage every fiber sits inside one cell,
-        # so the multiplier cancels from the conditional draw
-        return self.base.fiber(k_child, parent_pos)
+        if k_child > self.weight.stage:
+            # past the weight's stage every fiber sits inside one cell,
+            # so the multiplier cancels from the conditional draw
+            return self.base.fiber(k_child, parent_pos)
+        return _fiber(self.base.stage(k_child), parent_pos, *self._levels[k_child])
 
     def level_masses(self, k: int) -> tuple[list[int], int, int]:
-        if k <= self.weight.stage:
+        if k < self.weight.stage:
             nums, star, den = self._levels[k]
             return list(nums), star, den
         st = self.base.stage(k)
-        fracs = [
-            Fraction(st.nums[pos], st.den) * self.multipliers[self.cell_of(k, pos)]
-            for pos in range(st.size)
-        ]
-        star_f = Fraction(st.star_num, st.den) * self.multipliers[self.weight.star_cell]
-        den = star_f.denominator
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        return [int(f * den) for f in fracs], int(star_f * den), den
+        fracs = [st.mass(pos) * self.multipliers[self.cell_of(k, pos)] for pos in range(st.size)]
+        fracs.append(st.mass(STAR) * self.multipliers[self.weight.star_cell])
+        den = lcm(*(f.denominator for f in fracs))
+        nums = [int(f * den) for f in fracs]
+        return nums[:-1], nums[-1], den
 
 
 def rescale(handle: LimitHandle, weight: Weight) -> RescaledHandle:
@@ -1426,9 +1306,9 @@ def build_manifest(handle: LimitHandle) -> dict:
     ]
     return {
         "kind": "build-limit",
-        "guide": handle.guide_name,
+        "guide": GUIDE_NAME,
         "base_depth": theory.base_depth,
-        "scheme_prefix": theory.scheme_prefix,
+        "scheme_prefix": theory.base_depth,
         "seed": handle.seed.hex,
         "stages": handle.depth,
         "schedule": schedule,
@@ -1451,10 +1331,11 @@ def handle_from_manifest(doc: dict | str, check: bool = False) -> LimitHandle:
         doc = json.loads(doc)
     if doc.get("kind") != "build-limit":
         raise LimitError("not a build manifest")
+    if doc["guide"] != GUIDE_NAME:
+        raise LimitError(f"unknown guide {doc['guide']!r}")
     handle = build_limit(
         stages=doc["stages"],
         seed=SeedKey.from_hex(doc["seed"]),
-        guide=doc["guide"],
         base_depth=doc["base_depth"],
         check=check,
     )

@@ -8,22 +8,15 @@ canonical order, so equality of fingerprints is equality of types.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional
-
-import numpy as np
+from typing import Callable, Iterator, Optional
 
 
 class LogicError(ValueError):
     pass
-
-
-class DomainBoundExceeded(LogicError):
-    """Raised when an exhaustive search is asked to exceed its size bound."""
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +108,6 @@ class FiniteStructure:
     def holds(self, sym: int, args: tuple[int, ...]) -> bool:
         return (sym, tuple(args)) in self.facts
 
-    def facts_sorted(self) -> list[Fact]:
-        return sorted(self.facts)
-
-
 @dataclass(frozen=True)
 class Permutation:
     """Bijection on {0, .., n-1}, stored as the image tuple."""
@@ -139,34 +128,6 @@ class Permutation:
 
     def __len__(self) -> int:
         return len(self.mapping)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.mapping)
-        for i, img in enumerate(self.mapping):
-            inv[img] = i
-        return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(i) = self(other(i))."""
-        if len(other) != len(self.mapping):
-            raise LogicError("size mismatch in composition")
-        return Permutation(tuple(self.mapping[other.mapping[i]] for i in range(len(other))))
-
-
-def apply_permutation(structure: FiniteStructure, sigma: Permutation) -> FiniteStructure:
-    """Relabel the structure along sigma.
-
-    The image satisfies R(a1..ak) iff the original satisfies
-    R(sigma^-1(a1)..sigma^-1(ak)); pushing every fact tuple forward
-    through sigma implements exactly that.
-    """
-    if len(sigma) != structure.domain_size:
-        raise LogicError("permutation size differs from domain size")
-    facts = frozenset(
-        (sym, tuple(sigma.mapping[a] for a in args)) for sym, args in structure.facts
-    )
-    return FiniteStructure(structure.signature, structure.domain_size, facts)
-
 
 # ---------------------------------------------------------------------------
 # quantifier-free formulas
@@ -237,24 +198,36 @@ def iff(a: QfFormula, b: QfFormula) -> QfFormula:
     return Or((And((a, b)), And((Not(a), Not(b)))))
 
 
-def formula_vars(phi: QfFormula) -> set[int]:
-    if isinstance(phi, Rel):
-        return set(phi.args)
-    if isinstance(phi, Eq):
-        return {phi.left, phi.right}
-    if isinstance(phi, Not):
-        return formula_vars(phi.sub)
-    if isinstance(phi, (And, Or)):
-        out: set[int] = set()
+def qf_leaves(phi: QfFormula) -> Iterator[Rel | Eq]:
+    """The atomic subformulas of phi, left to right."""
+    if isinstance(phi, (Rel, Eq)):
+        yield phi
+    elif isinstance(phi, Not):
+        yield from qf_leaves(phi.sub)
+    elif isinstance(phi, (And, Or)):
         for s in phi.subs:
-            out |= formula_vars(s)
-        return out
+            yield from qf_leaves(s)
+    else:
+        raise LogicError(f"not a quantifier-free formula: {phi!r}")
+
+
+def map_leaves(phi: QfFormula, leaf: Callable[[Rel | Eq], QfFormula]) -> QfFormula:
+    """phi with every atomic subformula f replaced by leaf(f)."""
+    if isinstance(phi, (Rel, Eq)):
+        return leaf(phi)
+    if isinstance(phi, Not):
+        return Not(map_leaves(phi.sub, leaf))
+    if isinstance(phi, (And, Or)):
+        return type(phi)(tuple(map_leaves(s, leaf) for s in phi.subs))
     raise LogicError(f"not a quantifier-free formula: {phi!r}")
 
 
 def num_vars(phi: QfFormula) -> int:
-    vs = formula_vars(phi)
-    return 1 + max(vs) if vs else 0
+    """One more than the largest variable index in phi; 0 when it has none."""
+    indices = (
+        v for f in qf_leaves(phi) for v in (f.args if isinstance(f, Rel) else (f.left, f.right))
+    )
+    return 1 + max(indices, default=-1)
 
 
 def eval_qf(structure: FiniteStructure, phi: QfFormula, assignment: tuple[int, ...]) -> bool:
@@ -283,56 +256,6 @@ def eval_qf(structure: FiniteStructure, phi: QfFormula, assignment: tuple[int, .
     if isinstance(phi, Or):
         return any(eval_qf(structure, s, assignment) for s in phi.subs)
     raise LogicError(f"not a quantifier-free formula: {phi!r}")
-
-
-def eval_qf_grid(structure: FiniteStructure, phi: QfFormula, nvars: int) -> np.ndarray:
-    """Truth table of phi over all assignments, as a boolean nvars-dim array.
-
-    Axis i ranges over the domain for variable i. Used by the audit
-    paths that would otherwise loop over |M|^nvars assignments.
-    """
-    n = structure.domain_size
-    shape = (n,) * nvars
-
-    def rec(f: QfFormula) -> np.ndarray:
-        if isinstance(f, Rel):
-            arity = structure.signature.arity(f.sym)
-            table = np.zeros((n,) * arity, dtype=bool)
-            for sym, args in structure.facts:
-                if sym == f.sym:
-                    table[args] = True
-            if arity == 0:
-                base = np.full((), bool(table))
-            else:
-                idx = tuple(
-                    np.arange(n).reshape((1,) * v + (n,) + (1,) * (nvars - v - 1))
-                    for v in f.args
-                )
-                return np.broadcast_to(table[idx], shape)
-            return np.broadcast_to(base, shape)
-        if isinstance(f, Eq):
-            a = np.arange(n).reshape((1,) * f.left + (n,) + (1,) * (nvars - f.left - 1))
-            b = np.arange(n).reshape((1,) * f.right + (n,) + (1,) * (nvars - f.right - 1))
-            return np.broadcast_to(a == b, shape)
-        if isinstance(f, Not):
-            return ~rec(f.sub)
-        if isinstance(f, And):
-            out = rec(f.subs[0]).copy()
-            for s in f.subs[1:]:
-                out &= rec(s)
-            return out
-        if isinstance(f, Or):
-            out = rec(f.subs[0]).copy()
-            for s in f.subs[1:]:
-                out |= rec(s)
-            return out
-        raise LogicError(f"not a quantifier-free formula: {f!r}")
-
-    if nvars == 0:
-        return rec(phi)
-    if num_vars(phi) > nvars:
-        raise LogicError("formula uses more variables than the grid provides")
-    return rec(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -542,152 +465,3 @@ def structure_from_fingerprint(
         if (fp.bits >> k) & 1:
             facts.add((fp.sublanguage[si], t))
     return FiniteStructure(signature, domain_size, frozenset(facts))
-
-
-# ---------------------------------------------------------------------------
-# automorphisms and definable closure
-# ---------------------------------------------------------------------------
-
-
-def _facts_by_symbol(structure: FiniteStructure) -> dict[int, set[tuple[int, ...]]]:
-    out: dict[int, set[tuple[int, ...]]] = {}
-    for sym, args in structure.facts:
-        out.setdefault(sym, set()).add(args)
-    return out
-
-
-def _iter_automorphisms(
-    structure: FiniteStructure,
-    forced: dict[int, int],
-    bound: int,
-) -> Iterator[Permutation]:
-    """Backtracking enumeration of automorphisms extending `forced`.
-
-    Prunes a partial map as soon as some atom over the assigned domain
-    disagrees with its image.
-    """
-    n = structure.domain_size
-    if n > bound:
-        raise DomainBoundExceeded(f"domain size {n} exceeds bound {bound}")
-    sig = structure.signature
-    facts = _facts_by_symbol(structure)
-
-    order = sorted(forced) + [v for v in range(n) if v not in forced]
-    img: dict[int, int] = {}
-    used = [False] * n
-
-    def consistent(v: int) -> bool:
-        dom = list(img)
-        for sym in range(len(sig)):
-            r = sig.arity(sym)
-            sym_facts = facts.get(sym, set())
-            if r == 0:
-                continue
-            for t in product(dom, repeat=r):
-                if v not in t:
-                    continue
-                mapped = tuple(img[x] for x in t)
-                if (t in sym_facts) != (mapped in sym_facts):
-                    return False
-        return True
-
-    def extend(pos: int) -> Iterator[Permutation]:
-        if pos == n:
-            yield Permutation(tuple(img[v] for v in range(n)))
-            return
-        v = order[pos]
-        candidates = [forced[v]] if v in forced else [c for c in range(n) if not used[c]]
-        for c in candidates:
-            if used[c]:
-                continue
-            img[v] = c
-            used[c] = True
-            if consistent(v):
-                yield from extend(pos + 1)
-            used[c] = False
-            del img[v]
-
-    yield from extend(0)
-
-
-def automorphisms(structure: FiniteStructure, bound: int = 10) -> list[Permutation]:
-    """All automorphisms, by pruned backtracking. Raises beyond `bound`."""
-    return list(_iter_automorphisms(structure, {}, bound))
-
-
-def automorphisms_bruteforce(structure: FiniteStructure, bound: int = 6) -> list[Permutation]:
-    """Oracle: filter all n! permutations. Exhaustive cross-check only."""
-    n = structure.domain_size
-    if n > bound:
-        raise DomainBoundExceeded(f"domain size {n} exceeds bound {bound}")
-    from itertools import permutations as all_perms
-
-    out = []
-    for p in all_perms(range(n)):
-        sigma = Permutation(p)
-        if apply_permutation(structure, sigma) == structure:
-            out.append(sigma)
-    return out
-
-
-def group_dcl_trivial(
-    structure: FiniteStructure, fixed: Iterable[int], target: int, bound: int = 10
-) -> bool:
-    """True iff some automorphism fixes `fixed` pointwise and moves `target`.
-
-    This is the group-theoretic "b is not definable over A" test: a True
-    answer exhibits an A-fixing automorphism with sigma(b) != b.
-    """
-    n = structure.domain_size
-    fixed = set(fixed)
-    if target in fixed:
-        return False
-    for c in range(n):
-        if c == target:
-            continue
-        forced = {a: a for a in fixed}
-        forced[target] = c
-        for _ in _iter_automorphisms(structure, forced, bound):
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------------
-# JSON Lines serialization
-# ---------------------------------------------------------------------------
-
-
-def structure_to_jsonl(structure: FiniteStructure) -> str:
-    """Header record with domain size and signature, then one record per fact.
-
-    Facts are sorted by (symbol index, argument tuple), so the encoding
-    is canonical: equal structures serialize to identical bytes.
-    """
-    sig = structure.signature
-    lines = [
-        json.dumps(
-            {
-                "domain_size": structure.domain_size,
-                "signature": [{"name": n, "arity": a} for n, a in sig.symbols],
-            },
-            separators=(",", ":"),
-        )
-    ]
-    for sym, args in structure.facts_sorted():
-        lines.append(
-            json.dumps({"rel": sig.name(sym), "args": list(args)}, separators=(",", ":"))
-        )
-    return "\n".join(lines) + "\n"
-
-
-def structure_from_jsonl(text: str) -> FiniteStructure:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise LogicError("empty structure document")
-    header = json.loads(lines[0])
-    sig = Signature(tuple((s["name"], int(s["arity"])) for s in header["signature"]))
-    facts = set()
-    for ln in lines[1:]:
-        rec = json.loads(ln)
-        facts.add((sig.index_of(rec["rel"]), tuple(int(a) for a in rec["args"])))
-    return FiniteStructure(sig, int(header["domain_size"]), frozenset(facts))

@@ -70,11 +70,6 @@ class RelRef:
             raise MorleyError(f"unresolved symbol template ({self.base} {self.index_var})")
         return self.base
 
-    def substitute(self, ivar: str, value: int) -> "RelRef":
-        if self.index_var == ivar:
-            return RelRef(f"{self.base}{value}", None)
-        return self
-
 
 @dataclass(frozen=True)
 class FAtom:
@@ -133,24 +128,6 @@ Fragment = (
     FAtom | FEq | FNot | FAnd | FOr | FForall | FExists | FSchemeAnd | FSchemeOr
 )
 
-def free_vars(phi: Fragment) -> frozenset[str]:
-    if isinstance(phi, FAtom):
-        return frozenset(phi.args)
-    if isinstance(phi, FEq):
-        return frozenset((phi.left, phi.right))
-    if isinstance(phi, FNot):
-        return free_vars(phi.sub)
-    if isinstance(phi, (FAnd, FOr)):
-        out: frozenset[str] = frozenset()
-        for sub in phi.subs:
-            out |= free_vars(sub)
-        return out
-    if isinstance(phi, (FForall, FExists)):
-        return free_vars(phi.sub) - {phi.var}
-    if isinstance(phi, (FSchemeAnd, FSchemeOr)):
-        return free_vars(phi.body)
-    raise MorleyError(f"not a fragment formula: {phi!r}")
-
 
 def canonical_vars(phi: Fragment) -> tuple[str, ...]:
     """Free variables in first-occurrence (left-to-right) order.
@@ -186,53 +163,31 @@ def canonical_vars(phi: Fragment) -> tuple[str, ...]:
     return tuple(seen)
 
 
-def rename_vars(phi: Fragment, mapping: dict[str, str]) -> Fragment:
-    """Capture-aware renaming of free term variables."""
-    if isinstance(phi, FAtom):
-        return FAtom(phi.rel, tuple(mapping.get(a, a) for a in phi.args))
-    if isinstance(phi, FEq):
-        return FEq(mapping.get(phi.left, phi.left), mapping.get(phi.right, phi.right))
-    if isinstance(phi, FNot):
-        return FNot(rename_vars(phi.sub, mapping))
-    if isinstance(phi, FAnd):
-        return FAnd(tuple(rename_vars(s, mapping) for s in phi.subs))
-    if isinstance(phi, FOr):
-        return FOr(tuple(rename_vars(s, mapping) for s in phi.subs))
-    if isinstance(phi, (FForall, FExists)):
-        inner = {k: v for k, v in mapping.items() if k != phi.var}
-        cls = type(phi)
-        return cls(phi.var, rename_vars(phi.sub, inner))
-    if isinstance(phi, (FSchemeAnd, FSchemeOr)):
-        cls = type(phi)
-        return cls(phi.index_var, phi.prefix_len, rename_vars(phi.body, mapping))
-    raise MorleyError(f"not a fragment formula: {phi!r}")
+def _map_index_var(phi: Fragment, ivar: str, ref) -> Fragment:
+    """phi with every symbol template (P ivar) replaced by ref(P).
 
-
-def substitute_index(phi: Fragment, ivar: str, value: int) -> Fragment:
-    """Resolve symbol templates indexed by ivar to the concrete value."""
+    A nested scheme that rebinds ivar shadows it.
+    """
     if isinstance(phi, FAtom):
-        return FAtom(phi.rel.substitute(ivar, value), phi.args)
+        return FAtom(ref(phi.rel.base), phi.args) if phi.rel.index_var == ivar else phi
     if isinstance(phi, FEq):
         return phi
     if isinstance(phi, FNot):
-        return FNot(substitute_index(phi.sub, ivar, value))
-    if isinstance(phi, FAnd):
-        return FAnd(tuple(substitute_index(s, ivar, value) for s in phi.subs))
-    if isinstance(phi, FOr):
-        return FOr(tuple(substitute_index(s, ivar, value) for s in phi.subs))
+        return FNot(_map_index_var(phi.sub, ivar, ref))
+    if isinstance(phi, (FAnd, FOr)):
+        return type(phi)(tuple(_map_index_var(s, ivar, ref) for s in phi.subs))
     if isinstance(phi, (FForall, FExists)):
-        cls = type(phi)
-        return cls(phi.var, substitute_index(phi.sub, ivar, value))
+        return type(phi)(phi.var, _map_index_var(phi.sub, ivar, ref))
     if isinstance(phi, (FSchemeAnd, FSchemeOr)):
-        if phi.index_var == ivar:  # shadowed
+        if phi.index_var == ivar:
             return phi
-        cls = type(phi)
-        return cls(phi.index_var, phi.prefix_len, substitute_index(phi.body, ivar, value))
+        return type(phi)(phi.index_var, phi.prefix_len, _map_index_var(phi.body, ivar, ref))
     raise MorleyError(f"not a fragment formula: {phi!r}")
 
 
 def scheme_instance(phi: FSchemeAnd | FSchemeOr, i: int) -> Fragment:
-    return substitute_index(phi.body, phi.index_var, i)
+    """Instance i of the scheme body: each template (P ivar) becomes the symbol Pi."""
+    return _map_index_var(phi.body, phi.index_var, lambda base: RelRef(f"{base}{i}"))
 
 
 def _canonicalize(phi: Fragment, env: dict[str, str], counters: list[int]) -> Fragment:
@@ -262,33 +217,9 @@ def _canonicalize(phi: Fragment, env: dict[str, str], counters: list[int]) -> Fr
     if isinstance(phi, (FSchemeAnd, FSchemeOr)):
         fresh = f"i{counters[1]}"
         counters[1] += 1
-        body = _rename_index_var(phi.body, phi.index_var, fresh)
+        body = _map_index_var(phi.body, phi.index_var, lambda base: RelRef(base, fresh))
         cls = type(phi)
         return cls(fresh, phi.prefix_len, _canonicalize(body, env, counters))
-    raise MorleyError(f"not a fragment formula: {phi!r}")
-
-
-def _rename_index_var(phi: Fragment, old: str, new: str) -> Fragment:
-    if isinstance(phi, FAtom):
-        if phi.rel.index_var == old:
-            return FAtom(RelRef(phi.rel.base, new), phi.args)
-        return phi
-    if isinstance(phi, FEq):
-        return phi
-    if isinstance(phi, FNot):
-        return FNot(_rename_index_var(phi.sub, old, new))
-    if isinstance(phi, FAnd):
-        return FAnd(tuple(_rename_index_var(s, old, new) for s in phi.subs))
-    if isinstance(phi, FOr):
-        return FOr(tuple(_rename_index_var(s, old, new) for s in phi.subs))
-    if isinstance(phi, (FForall, FExists)):
-        cls = type(phi)
-        return cls(phi.var, _rename_index_var(phi.sub, old, new))
-    if isinstance(phi, (FSchemeAnd, FSchemeOr)):
-        if phi.index_var == old:  # shadowed
-            return phi
-        cls = type(phi)
-        return cls(phi.index_var, phi.prefix_len, _rename_index_var(phi.body, old, new))
     raise MorleyError(f"not a fragment formula: {phi!r}")
 
 
@@ -459,10 +390,6 @@ class Axiom:
     label: str
 
     @property
-    def nvars(self) -> int:
-        return len(self.prefix)
-
-    @property
     def pithy(self) -> bool:
         return self.prefix.endswith("E")
 
@@ -556,7 +483,7 @@ def morleyize(
     nodes: list[ClosureNode] = []
     lookup: dict[Fragment, int] = {}
     for idx, phi in enumerate(closure):
-        arity = len(free_vars(phi))
+        arity = len(canonical_vars(phi))
         if arity > max_arity:
             raise MorleyError(
                 f"free-variable supply exhausted: node has arity {arity} > {max_arity}"
@@ -646,7 +573,7 @@ def morleyize(
             raise MorleyError(f"not a fragment formula: {phi!r}")
 
     for phi in sentences:
-        if free_vars(phi):
+        if canonical_vars(phi):
             continue  # open formulas seed the closure but assert nothing
         axioms.append(
             Axiom("", Rel(rsym(phi), ()), 0, lookup[canonical_form(phi)], "assert")
@@ -748,8 +675,13 @@ def _qf_to_tree(phi: QfFormula, signature: Signature):
 def _qf_from_tree(tree, signature: Signature) -> QfFormula:
     head = tree[0]
     if head == "rel":
+        sym = signature.index_of(tree[1])
         args = tuple(int(a[1:]) for a in tree[2:])
-        return Rel(signature.index_of(tree[1]), args)
+        if len(args) != signature.arity(sym):
+            raise MorleyError(
+                f"{tree[1]} has arity {signature.arity(sym)}, got {len(args)} arguments"
+            )
+        return Rel(sym, args)
     if head == "eq":
         return Eq(int(tree[1][1:]), int(tree[2][1:]))
     if head == "not":

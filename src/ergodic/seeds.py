@@ -11,6 +11,7 @@ the order in which callers list the elements never matters.
 from __future__ import annotations
 
 import hashlib
+import operator
 import secrets
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,6 +39,17 @@ def _encode_set(elements: Iterable[int]) -> bytes:
 @lru_cache(maxsize=1 << 16)
 def _encode_frozenset(elements: frozenset) -> bytes:
     return _encode_set(elements)
+
+
+def _canonical_label(label):
+    """The plain int, str or tuple a child-key label stands for."""
+    if isinstance(label, tuple):
+        return tuple(_canonical_label(x) for x in label)
+    if isinstance(label, str):
+        return str(label)
+    if isinstance(label, bool) or type(label).__name__ in ("bool", "bool_"):  # numpy bools too
+        raise TypeError(f"bool label {label!r} is ambiguous with an int")
+    return operator.index(label)  # TypeError for anything else
 
 
 @dataclass(frozen=True)
@@ -71,9 +83,15 @@ class SeedKey:
     def child(self, *labels) -> "SeedKey":
         """Derive an independent subkey from a label path.
 
-        Labels may be ints, strings, or nested tuples of those; the repr
-        is stable across runs for these types.
+        Labels may be ints, strings, or nested tuples of those; the key
+        hashes the repr of the path, which is stable across runs for
+        these types. Integer-like labels (numpy integers, say) count as
+        the int they equal; bools are refused, since True would pass for 1.
         """
+        for label in labels:
+            if type(label) is not int and type(label) is not str:
+                labels = _canonical_label(labels)
+                break
         payload = _TAG_CHILD + repr(labels).encode()
         digest = hashlib.blake2b(payload, digest_size=16, key=self._key_bytes())
         return SeedKey(int.from_bytes(digest.digest(), "big"))

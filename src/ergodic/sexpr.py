@@ -88,14 +88,3 @@ def format_sexpr(tree) -> str:
         return tree
     return "(" + " ".join(format_sexpr(t) for t in tree) + ")"
 
-
-def formula_from_sexpr(text: str):
-    from .morley import fragment_from_tree
-
-    return fragment_from_tree(parse_sexpr(text))
-
-
-def formula_to_sexpr(formula) -> str:
-    from .morley import fragment_to_tree
-
-    return format_sexpr(fragment_to_tree(formula))

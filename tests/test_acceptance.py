@@ -24,10 +24,10 @@ from ergodic.engine import (
 )
 from ergodic.fixtures import BrokenSupersetSampler, IndexKeyedSampler
 from ergodic.gallery import (
-    blowup_control,
-    kaleidoscope_hypergraph,
-    max_graph,
-    mixture_control,
+    BlowupControl,
+    KaleidoscopeHypergraph,
+    MaxGraph,
+    MixtureControl,
     parse_sampler_spec,
 )
 from ergodic.limits import (
@@ -125,7 +125,7 @@ def test_criterion_01_sampler_coherence():
 def test_criterion_02_edge_measure():
     with criterion(2, "depth-1 pair-relation measure = 0.5 +- 3 stderr at 1e4") as d:
         t0 = time.monotonic()
-        rep = estimate_measure(kaleidoscope_hypergraph(2, 1), EDGE, 10_000, SEED.child("c2"))
+        rep = estimate_measure(KaleidoscopeHypergraph(2, 1), EDGE, 10_000, SEED.child("c2"))
         est = float(rep.estimate)
         assert abs(rep.stderr - 0.005) < 2e-4
         assert abs(est - 0.5) <= 3 * rep.stderr
@@ -138,12 +138,12 @@ def test_criterion_03_dissociation_dichotomy():
     with criterion(3, "independence gap: hypergraph quiet, mixture flagged") as d:
         t0 = time.monotonic()
         quiet = dissociation_test(
-            kaleidoscope_hypergraph(2, 3), EDGE, EDGE, 100_000, SEED.child("c3a")
+            KaleidoscopeHypergraph(2, 3), EDGE, EDGE, 100_000, SEED.child("c3a")
         )
         assert abs(quiet.z) < 3.0
 
         mixed = dissociation_test(
-            mixture_control(0.1, 0.9), EDGE, EDGE, 100_000, SEED.child("c3b")
+            MixtureControl(0.1, 0.9), EDGE, EDGE, 100_000, SEED.child("c3b")
         )
         want = (0.1 - 0.9) ** 2 / 4  # = 0.16
         assert abs(float(mixed.gap) - want) <= 3 * mixed.gap_stderr
@@ -160,14 +160,14 @@ def test_criterion_04_collision_decay():
         zs = []
         for depth in (2, 4, 6, 8):
             rep = collision_stat(
-                kaleidoscope_hypergraph(2, depth), 2, 100_000, SEED.child("c4k", depth)
+                KaleidoscopeHypergraph(2, depth), 2, 100_000, SEED.child("c4k", depth)
             )
             want = 2.0**-depth
             assert abs(float(rep.estimate) - want) <= 3 * rep.stderr
             zs.append((float(rep.estimate) - want) / rep.stderr)
 
         for depth in (2, 4, 6, 8):
-            control = blowup_control(depth)
+            control = BlowupControl(depth)
             want = sum(
                 Fraction(control.class_probability(c)) ** 2
                 for c in range(control.num_classes)
@@ -185,7 +185,7 @@ def test_criterion_05_rootedness():
         passed = 0
         repeated_types = 0
         for t in range(100):
-            M = sample(max_graph(16), 30, SEED.child("criterion5", t))
+            M = sample(MaxGraph(16), 30, SEED.child("criterion5", t))
             rep = rootedness_check(M, DISTINCT)
             assert rep.passed
             for r in rep.reports:

@@ -77,13 +77,24 @@ def test_estimate_csv_to_file(capsys):
         ["estimate", "--sampler", "maxgraph:d=2", "--phi", "(rel R0 x0"],
         ["build-limit", "--guide", "bogus", "--stages", "3"],
         ["rescale", "--manifest", "absent.json", "--preset", "p0-heavy"],
+        # out-of-range numbers
+        ["estimate", "--sampler", "maxgraph:d=2", "--phi", "(rel R0 x0 x1)", "--trials", "0"],
+        ["sample", "--sampler", "maxgraph:d=3", "-n", "-1"],
+        ["collide", "--sampler", "maxgraph:d=3", "-n", "0"],
+        ["coherence", "--sampler", "maxgraph:d=3", "-m", "-1"],
+        ["postypes", "--sampler", "maxgraph:d=3", "--arity", "-2"],
+        ["build-limit", "--stages", "0"],
+        ["build-limit", "--stages", "3", "--base-depth", "1"],
+        # formula arity differs from the symbol's
+        ["estimate", "--sampler", "bipartite:i=2,j=2", "--phi", "(rel P x0 x1)"],
+        ["estimate", "--sampler", "kaleidoscope:k=3,d=1", "--phi", "(rel R0 x0 x1)"],
     ],
 )
 def test_usage_errors_exit_3(capsys, argv):
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_collide_flags_bad_expectation(capsys):

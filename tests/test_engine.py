@@ -16,11 +16,7 @@ from ergodic.engine import (
     sample,
 )
 from ergodic.fixtures import BrokenSupersetSampler, EmptySampler, IndexKeyedSampler
-from ergodic.gallery import (
-    blowup_control,
-    kaleidoscope_hypergraph,
-    mixture_control,
-)
+from ergodic.gallery import BlowupControl, KaleidoscopeHypergraph, MixtureControl
 from ergodic.logic import And, Eq, Not, Or, Permutation, Rel
 from ergodic.seeds import SeedKey
 
@@ -29,7 +25,7 @@ EDGE = Rel(0, (0, 1))
 
 
 def test_sample_produces_valid_structure():
-    M = sample(kaleidoscope_hypergraph(2, 2), 5, SEED)
+    M = sample(KaleidoscopeHypergraph(2, 2), 5, SEED)
     assert M.domain_size == 5
     for sym, args in M.facts:
         # symmetric, irreflexive by construction
@@ -38,13 +34,13 @@ def test_sample_produces_valid_structure():
 
 
 def test_edge_measure_is_half():
-    rep = estimate_measure(kaleidoscope_hypergraph(2, 1), EDGE, 4000, SEED)
+    rep = estimate_measure(KaleidoscopeHypergraph(2, 1), EDGE, 4000, SEED)
     assert abs(float(rep.estimate) - 0.5) < 4 * rep.stderr
     assert rep.trials == 4000
 
 
 def test_tautology_and_diagonal_are_exact():
-    sampler = kaleidoscope_hypergraph(2, 1)
+    sampler = KaleidoscopeHypergraph(2, 1)
     taut = Or((EDGE, Not(EDGE)))
     assert estimate_measure(sampler, taut, 50, SEED).estimate == 1
     # tuples are injective, so eq(x0, x1) has measure exactly zero
@@ -53,11 +49,11 @@ def test_tautology_and_diagonal_are_exact():
 
 def test_estimate_rejects_bad_trials():
     with pytest.raises(ValueError):
-        estimate_measure(kaleidoscope_hypergraph(2, 1), EDGE, 0, SEED)
+        estimate_measure(KaleidoscopeHypergraph(2, 1), EDGE, 0, SEED)
 
 
 def test_report_row_and_csv():
-    rep = estimate_measure(kaleidoscope_hypergraph(2, 1), EDGE, 100, SEED)
+    rep = estimate_measure(KaleidoscopeHypergraph(2, 1), EDGE, 100, SEED)
     row = rep.row()
     assert set(row) == set(CSV_FIELDS)
     text = reports_to_csv([rep])
@@ -66,7 +62,7 @@ def test_report_row_and_csv():
 
 
 def test_dissociation_sound_sampler_small_z():
-    rep = dissociation_test(kaleidoscope_hypergraph(2, 1), EDGE, EDGE, 3000, SEED)
+    rep = dissociation_test(KaleidoscopeHypergraph(2, 1), EDGE, EDGE, 3000, SEED)
     assert abs(rep.z) < 4
     assert rep.joint.trials == 3000
 
@@ -74,7 +70,7 @@ def test_dissociation_sound_sampler_small_z():
 def test_dissociation_flags_mixture():
     # one global coin picking density 0.1 or 0.9 correlates disjoint pairs:
     # joint = (p1^2 + p2^2)/2 = 0.41, product = 0.25, gap = 0.16
-    rep = dissociation_test(mixture_control(0.1, 0.9), EDGE, EDGE, 4000, SEED)
+    rep = dissociation_test(MixtureControl(0.1, 0.9), EDGE, EDGE, 4000, SEED)
     gap_target = 0.16
     assert abs(float(rep.gap) - gap_target) < 3 * rep.gap_stderr + 0.02
     assert rep.z > 10
@@ -82,28 +78,28 @@ def test_dissociation_flags_mixture():
 
 
 def test_degenerate_mixture_is_dissociated():
-    rep = dissociation_test(mixture_control(0.4, 0.4), EDGE, EDGE, 3000, SEED)
+    rep = dissociation_test(MixtureControl(0.4, 0.4), EDGE, EDGE, 3000, SEED)
     assert abs(rep.z) < 4
 
 
 def test_dissociation_rejects_overlapping_tuples():
     with pytest.raises(ValueError):
         dissociation_test(
-            kaleidoscope_hypergraph(2, 1), EDGE, EDGE, 10, SEED,
+            KaleidoscopeHypergraph(2, 1), EDGE, EDGE, 10, SEED,
             tuple_a=(0, 1), tuple_b=(1, 2),
         )
 
 
 def test_invariance_identity_gap_is_exact_zero():
     sigma = Permutation((0, 1))
-    rep = invariance_test(kaleidoscope_hypergraph(2, 1), EDGE, sigma, 500, SEED)
+    rep = invariance_test(KaleidoscopeHypergraph(2, 1), EDGE, sigma, 500, SEED)
     assert rep.gap == 0
     assert rep.z == 0.0
 
 
 def test_invariance_passes_exchangeable_sampler():
     sigma = Permutation((2, 0, 1))
-    rep = invariance_test(kaleidoscope_hypergraph(2, 2), EDGE, sigma, 3000, SEED)
+    rep = invariance_test(KaleidoscopeHypergraph(2, 2), EDGE, sigma, 3000, SEED)
     assert abs(rep.z) < 4
 
 
@@ -116,12 +112,12 @@ def test_invariance_flags_index_keyed_fixture():
 
 def test_invariance_needs_enough_points():
     with pytest.raises(ValueError):
-        invariance_test(kaleidoscope_hypergraph(2, 1), EDGE, Permutation((0,)), 10, SEED)
+        invariance_test(KaleidoscopeHypergraph(2, 1), EDGE, Permutation((0,)), 10, SEED)
 
 
 @pytest.mark.parametrize("n,m", [(4, 2), (5, 0), (3, 3)])
 def test_coherence_passes_on_sound_sampler(n, m):
-    rep = coherence_check(kaleidoscope_hypergraph(2, 2), n, m, 40, SEED)
+    rep = coherence_check(KaleidoscopeHypergraph(2, 2), n, m, 40, SEED)
     assert rep.passed
     assert rep.failures == ()
 
@@ -147,7 +143,7 @@ def test_coherence_validates_arities():
 
 def test_positive_types_blowup_spectrum():
     # classes 0,1,2 with masses 1/2, 1/4, 1/4 give exactly three 1-types
-    rep = estimate_positive_types(blowup_control(2), 1, Fraction(1, 10), 3000, SEED)
+    rep = estimate_positive_types(BlowupControl(2), 1, Fraction(1, 10), 3000, SEED)
     assert len(rep.entries) == 3
     assert rep.covered == 1
     freqs = [float(f) for _, f in rep.entries]
@@ -156,5 +152,5 @@ def test_positive_types_blowup_spectrum():
 
 
 def test_positive_types_epsilon_cap():
-    rep = estimate_positive_types(blowup_control(3), 1, 0.3, 2000, SEED)
+    rep = estimate_positive_types(BlowupControl(3), 1, 0.3, 2000, SEED)
     assert len(rep.entries) <= 3  # pigeonhole: at most floor(1/eps)

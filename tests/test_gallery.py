@@ -9,14 +9,13 @@ import pytest
 from ergodic.engine import estimate_measure, sample
 from ergodic.gallery import (
     GALLERY,
+    BipartiteLabels,
+    BlowupControl,
     GeometricGraph,
-    bipartite_labels,
-    blowup_control,
-    geometric_graph,
-    kaleidoscope_digraph,
-    kaleidoscope_hypergraph,
-    max_graph,
-    mixture_control,
+    KaleidoscopeDigraph,
+    KaleidoscopeHypergraph,
+    MaxGraph,
+    MixtureControl,
     parse_sampler_spec,
     truncated_geometric,
 )
@@ -48,7 +47,7 @@ def test_truncated_geometric_boundaries():
 
 
 def test_kaleidoscope_relations_symmetric_irreflexive():
-    fp = kaleidoscope_hypergraph(2, 3).type_fn(4, XiFamily(SEED))
+    fp = KaleidoscopeHypergraph(2, 3).type_fn(4, XiFamily(SEED))
     for sym in range(3):
         for i in range(4):
             assert not fp.has(sym, (i, i))
@@ -57,25 +56,25 @@ def test_kaleidoscope_relations_symmetric_irreflexive():
 
 
 def test_kaleidoscope_triple_needs_three_distinct():
-    fp = kaleidoscope_hypergraph(3, 1).type_fn(3, XiFamily(SEED))
+    fp = KaleidoscopeHypergraph(3, 1).type_fn(3, XiFamily(SEED))
     assert not fp.has(0, (0, 1, 1))
     assert fp.has(0, (0, 1, 2)) == fp.has(0, (2, 0, 1))
 
 
 def test_kaleidoscope_edge_measure():
-    rep = estimate_measure(kaleidoscope_hypergraph(2, 1), EDGE, 4000, SEED)
+    rep = estimate_measure(KaleidoscopeHypergraph(2, 1), EDGE, 4000, SEED)
     assert abs(float(rep.estimate) - 0.5) < 4 * rep.stderr
 
 
 def test_geometric_sup_norm_measure():
     target = 0.5 * P_CLOSE_SUP
-    rep = estimate_measure(geometric_graph(2, "sup"), EDGE, 4000, SEED)
+    rep = estimate_measure(GeometricGraph(2, "sup"), EDGE, 4000, SEED)
     assert abs(float(rep.estimate) - target) < 4 * stderr(target, 4000)
 
 
 def test_geometric_euclidean_measure():
     target = 0.5 * P_CLOSE_EUCLID_2D
-    rep = estimate_measure(geometric_graph(2, "euclidean"), EDGE, 4000, SEED)
+    rep = estimate_measure(GeometricGraph(2, "euclidean"), EDGE, 4000, SEED)
     assert abs(float(rep.estimate) - target) < 4 * stderr(target, 4000)
 
 
@@ -91,15 +90,15 @@ def test_geometric_pinned_points_isolate_the_coin():
 
 def test_geometric_validates_parameters():
     with pytest.raises(ValueError):
-        geometric_graph(0)
+        GeometricGraph(0)
     with pytest.raises(ValueError):
-        geometric_graph(2, "manhattan")
+        GeometricGraph(2, "manhattan")
     with pytest.raises(ValueError):
-        geometric_graph(2, "sup", 1.5)
+        GeometricGraph(2, "sup", 1.5)
 
 
 def test_blowup_class_probabilities():
-    b = blowup_control(3)
+    b = BlowupControl(3)
     probs = [b.class_probability(c) for c in range(b.num_classes)]
     assert sum(probs) == 1
     assert probs[0] == Fraction(1, 2)
@@ -109,7 +108,7 @@ def test_blowup_class_probabilities():
 
 
 def test_blowup_same_class_iff_related():
-    fp = blowup_control(3).type_fn(6, XiFamily(SEED))
+    fp = BlowupControl(3).type_fn(6, XiFamily(SEED))
     for i in range(6):
         assert fp.has(0, (i, i))
         for j in range(6):
@@ -119,7 +118,7 @@ def test_blowup_same_class_iff_related():
 
 
 def test_max_graph_type_is_the_max_prefix():
-    fp = max_graph(4).type_fn(5, XiFamily(SEED))
+    fp = MaxGraph(4).type_fn(5, XiFamily(SEED))
     for sym in range(4):
         for i in range(5):
             assert not fp.has(sym, (i, i))
@@ -128,7 +127,7 @@ def test_max_graph_type_is_the_max_prefix():
 
 
 def test_digraph_loops_mark_one_side():
-    fp = kaleidoscope_digraph(3).type_fn(8, XiFamily(SEED))
+    fp = KaleidoscopeDigraph(3).type_fn(8, XiFamily(SEED))
     loop = [fp.has(0, (i, i)) for i in range(8)]
     for i in range(8):
         for j in range(8):
@@ -146,12 +145,12 @@ def test_digraph_loops_mark_one_side():
 
 
 def test_digraph_loop_measure_half():
-    rep = estimate_measure(kaleidoscope_digraph(2), Rel(0, (0, 0)), 4000, SEED)
+    rep = estimate_measure(KaleidoscopeDigraph(2), Rel(0, (0, 0)), 4000, SEED)
     assert abs(float(rep.estimate) - 0.5) < 4 * stderr(0.5, 4000)
 
 
 def test_bipartite_shape_constraints():
-    s = bipartite_labels(2, 3)
+    s = BipartiteLabels(2, 3)
     fp = s.type_fn(6, XiFamily(SEED))
     marked = [fp.has(0, (i,)) for i in range(6)]
     for x in range(6):
@@ -175,18 +174,18 @@ def test_bipartite_shape_constraints():
 def test_bipartite_first_cell_measure():
     # marked(x) * unmarked(y) * P(label = 0) = 1/2 * 1/2 * 1/2, and a
     # materialized column always has height >= 1
-    rep = estimate_measure(bipartite_labels(2, 2), Rel(1, (0, 1)), 4000, SEED)
+    rep = estimate_measure(BipartiteLabels(2, 2), Rel(1, (0, 1)), 4000, SEED)
     assert abs(float(rep.estimate) - 0.125) < 4 * stderr(0.125, 4000)
 
 
 def test_mixture_validates_density():
     with pytest.raises(ValueError):
-        mixture_control(-0.1, 0.5)
+        MixtureControl(-0.1, 0.5)
 
 
 def test_mixture_reads_empty_set():
-    assert mixture_control(0.1, 0.9).reads_empty_set
-    assert not kaleidoscope_hypergraph(2, 1).reads_empty_set
+    assert MixtureControl(0.1, 0.9).reads_empty_set
+    assert not KaleidoscopeHypergraph(2, 1).reads_empty_set
 
 
 def test_parse_sampler_spec_covers_gallery():
@@ -213,8 +212,8 @@ def test_parse_sampler_spec_rejects_unknown():
 
 
 def test_sampled_structures_are_reproducible():
-    a = sample(kaleidoscope_digraph(2), 6, SEED)
-    b = sample(kaleidoscope_digraph(2), 6, SEED)
+    a = sample(KaleidoscopeDigraph(2), 6, SEED)
+    b = sample(KaleidoscopeDigraph(2), 6, SEED)
     assert a.facts == b.facts
 
 
@@ -253,16 +252,16 @@ def reference_blowup(sampler, n, xs):
 
 
 LAYOUT_CASES = [
-    (kaleidoscope_hypergraph(1, 3), reference_kaleidoscope),
-    (kaleidoscope_hypergraph(2, 8), reference_kaleidoscope),
-    (kaleidoscope_hypergraph(3, 2), reference_kaleidoscope),
-    (kaleidoscope_hypergraph(4, 1), reference_kaleidoscope),
+    (KaleidoscopeHypergraph(1, 3), reference_kaleidoscope),
+    (KaleidoscopeHypergraph(2, 8), reference_kaleidoscope),
+    (KaleidoscopeHypergraph(3, 2), reference_kaleidoscope),
+    (KaleidoscopeHypergraph(4, 1), reference_kaleidoscope),
     # bits past the first word spill into PRF stream 1 (and 2)
-    (kaleidoscope_hypergraph(2, BITS_PER_STREAM + 7), reference_kaleidoscope),
-    (kaleidoscope_hypergraph(3, 2 * BITS_PER_STREAM + 1), reference_kaleidoscope),
-    (blowup_control(1), reference_blowup),
-    (blowup_control(3), reference_blowup),
-    (blowup_control(8), reference_blowup),
+    (KaleidoscopeHypergraph(2, BITS_PER_STREAM + 7), reference_kaleidoscope),
+    (KaleidoscopeHypergraph(3, 2 * BITS_PER_STREAM + 1), reference_kaleidoscope),
+    (BlowupControl(1), reference_blowup),
+    (BlowupControl(3), reference_blowup),
+    (BlowupControl(8), reference_blowup),
 ]
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from ergodic.limits import (
     STAR,
+    KaleidoscopePredicateGuide,
     LimitError,
     LimitHandle,
     SeparationError,
@@ -18,7 +19,6 @@ from ergodic.limits import (
     estimate_marginal,
     handle_from_manifest,
     init_stage0,
-    kaleidoscope_guide,
     manifest_json,
     materialized_universal_axioms,
     rescale,
@@ -290,7 +290,7 @@ def test_manifest_tamper_detected():
 
 
 def test_guide_bits_are_lazy_but_stable(theory):
-    guide = kaleidoscope_guide(SEED.child("g"), theory)
+    guide = KaleidoscopePredicateGuide(SEED.child("g"), theory)
     a = guide.fresh()
     assert guide.bit(a, 3) == guide.bit(a, 3)
     copy = guide.duplicate(a, 0b1)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from ergodic.seeds import (
@@ -69,6 +70,25 @@ def test_child_keys_diverge():
     assert KEY.child("a", 0) != KEY.child("a", 1)
     assert KEY.child("trial", 7) == KEY.child("trial", 7)
     assert KEY.child("a") != KEY
+
+
+def test_child_keys_of_plain_labels_are_frozen():
+    assert KEY.child("trial", 3).hex == "4fbbae89467d532f4cd1c6d3c5de2d8d"
+    assert KEY.child("c4k", 8).hex == "0af85427ff6085b171e2b28918c4dcf1"
+
+
+def test_integer_like_labels_key_as_their_int():
+    assert KEY.child("trial", np.int64(3)) == KEY.child("trial", 3)
+    assert KEY.child(np.str_("trial"), np.uint8(3)) == KEY.child("trial", 3)
+    assert KEY.child(("layout", np.int32(2)), 1) == KEY.child(("layout", 2), 1)
+
+
+@pytest.mark.parametrize(
+    "labels", [("a", True), ("a", np.True_), ("a", (0, False)), (1.5,), (None,)]
+)
+def test_bool_and_other_labels_are_refused(labels):
+    with pytest.raises(TypeError):
+        KEY.child(*labels)
 
 
 def test_bits_match_mantissa():

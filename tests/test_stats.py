@@ -8,7 +8,7 @@ import pytest
 
 from ergodic.engine import sample
 from ergodic.fixtures import EmptySampler
-from ergodic.gallery import blowup_control, kaleidoscope_hypergraph, max_graph
+from ergodic.gallery import BlowupControl, KaleidoscopeHypergraph, MaxGraph
 from ergodic.logic import (
     Eq,
     FiniteStructure,
@@ -51,7 +51,7 @@ PAIRS = FiniteStructure(
 
 
 def test_find_roots_agrees_with_naive_scan():
-    for sampler, n in ((max_graph(3), 7), (kaleidoscope_hypergraph(2, 2), 6)):
+    for sampler, n in ((MaxGraph(3), 7), (KaleidoscopeHypergraph(2, 2), 6)):
         M = sample(sampler, n, SEED)
         seen = set()
         for tup in itertools.permutations(range(n), 2):
@@ -107,7 +107,7 @@ def test_find_roots_arity_bound():
 
 
 def test_rootedness_check_max_graph_passes():
-    M = sample(max_graph(12), 16, SEED)
+    M = sample(MaxGraph(12), 16, SEED)
     rep = rootedness_check(M, DISTINCT)
     assert rep.passed
     assert rep.arity == 2
@@ -117,7 +117,7 @@ def test_rootedness_check_max_graph_passes():
 
 def test_rootedness_check_shallow_kaleidoscope_fails():
     # at depth 2 only four 2-types exist, so 16 vertices scatter realizations
-    M = sample(kaleidoscope_hypergraph(2, 2), 16, SEED)
+    M = sample(KaleidoscopeHypergraph(2, 2), 16, SEED)
     rep = rootedness_check(M, DISTINCT)
     assert not rep.passed
     assert all(not r.rooted for r in rep.failures)
@@ -140,13 +140,13 @@ def test_rootedness_guard_filters_fingerprints():
 
 def test_collision_kaleidoscope_decay():
     for d in (2, 4):
-        rep = collision_stat(kaleidoscope_hypergraph(2, d), 2, 3000, SEED.child(d))
+        rep = collision_stat(KaleidoscopeHypergraph(2, d), 2, 3000, SEED.child(d))
         want = 2.0**-d
         assert abs(float(rep.estimate) - want) < 4 * rep.stderr + 1e-9
 
 
 def test_collision_blowup_constant():
-    b = blowup_control(3)
+    b = BlowupControl(3)
     exact = sum(Fraction(p) ** 2 for p in (b.class_probability(c) for c in range(b.num_classes)))
     rep = collision_stat(b, 1, 3000, SEED)
     assert abs(float(rep.estimate) - float(exact)) < 4 * rep.stderr + 1e-9
@@ -198,9 +198,9 @@ FROZEN_BLOWUP = {2: 1861, 4: 1641, 6: 1673, 8: 1646}
 def test_collision_counts_are_frozen():
     for d, count in FROZEN_KALEIDOSCOPE.items():
         rep = collision_stat(
-            kaleidoscope_hypergraph(2, d), 2, 5000, SEED.child("c4k", d)
+            KaleidoscopeHypergraph(2, d), 2, 5000, SEED.child("c4k", d)
         )
         assert rep.estimate == Fraction(count, 5000)
     for d, count in FROZEN_BLOWUP.items():
-        rep = collision_stat(blowup_control(d), 1, 5000, SEED.child("c4b", d))
+        rep = collision_stat(BlowupControl(d), 1, 5000, SEED.child("c4b", d))
         assert rep.estimate == Fraction(count, 5000)
