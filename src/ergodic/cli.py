@@ -464,7 +464,6 @@ def _cmd_rescale(args):
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", default=DEFAULT_SEED, help="128-bit hex master seed")
-    common.add_argument("--trials", type=_int_at_least(1), default=1000)
     common.add_argument("--out", default=None, help="write output here instead of stdout")
     common.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     common.add_argument(
@@ -476,37 +475,40 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="ergodic", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, func, trials=False, **kwargs):
         p = sub.add_parser(name, parents=[common], **kwargs)
         p.set_defaults(func=func)
+        if trials:
+            p.add_argument("--trials", type=_int_at_least(1), default=1000)
         return p
 
     p = add("sample", _cmd_sample, help="sample one finite structure")
     p.add_argument("--sampler", required=True)
     p.add_argument("-n", type=_int_at_least(0), required=True)
 
-    p = add("estimate", _cmd_estimate, help="Monte Carlo measure of a qf event")
+    p = add("estimate", _cmd_estimate, trials=True, help="Monte Carlo measure of a qf event")
     p.add_argument("--sampler", required=True)
     p.add_argument("--phi", required=True, help='s-expr, e.g. "(rel R0 x0 x1)"')
 
-    p = add("dissoc", _cmd_dissoc, help="joint-vs-product audit on disjoint tuples")
+    p = add("dissoc", _cmd_dissoc, trials=True, help="joint-vs-product audit on disjoint tuples")
     p.add_argument("--sampler", required=True)
     p.add_argument("--phi", required=True)
     p.add_argument("--psi", required=True)
     p.add_argument("--z-limit", type=float, default=3.0)
 
-    p = add("invariance", _cmd_invariance, help="compare an event at a permuted tuple")
+    p = add("invariance", _cmd_invariance, trials=True,
+            help="compare an event at a permuted tuple")
     p.add_argument("--sampler", required=True)
     p.add_argument("--phi", required=True)
     p.add_argument("--sigma", required=True, help='permutation image, e.g. "1 0 2"')
     p.add_argument("--z-limit", type=float, default=3.0)
 
-    p = add("coherence", _cmd_coherence, help="exact restriction/equivariance check")
+    p = add("coherence", _cmd_coherence, trials=True, help="exact restriction/equivariance check")
     p.add_argument("--sampler", required=True)
     p.add_argument("-n", type=_int_at_least(0), default=5)
     p.add_argument("-m", type=_int_at_least(0), default=3)
 
-    p = add("collide", _cmd_collide, help="two-block fingerprint collision rate")
+    p = add("collide", _cmd_collide, trials=True, help="two-block fingerprint collision rate")
     p.add_argument("--sampler", required=True)
     p.add_argument("-n", type=_int_at_least(1), default=1)
     p.add_argument("--expect", type=float, default=None)
@@ -518,7 +520,7 @@ def build_parser() -> _Parser:
     p.add_argument("--chi", default="(not (eq x0 x1))")
     p.add_argument("--sub", default=None, help='sublanguage indices, e.g. "0 1"')
 
-    p = add("postypes", _cmd_postypes, help="positive-frequency fingerprint spectrum")
+    p = add("postypes", _cmd_postypes, trials=True, help="positive-frequency fingerprint spectrum")
     p.add_argument("--sampler", required=True)
     p.add_argument("--arity", type=_int_at_least(0), required=True)
     p.add_argument("--epsilon", type=float, default=0.05)
@@ -539,7 +541,8 @@ def build_parser() -> _Parser:
     p.add_argument("--depth", type=_int_at_least(0), required=True)
     p.add_argument("--no-audit", action="store_true")
 
-    p = add("rescale", _cmd_rescale, help="reweight a built limit and compare marginals")
+    p = add("rescale", _cmd_rescale, trials=True,
+            help="reweight a built limit and compare marginals")
     p.add_argument("--manifest", required=True)
     p.add_argument("--preset", required=True)
     p.add_argument("--stage", type=_int_at_least(0), default=None)

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .logic import (
     FiniteStructure,
@@ -49,29 +49,15 @@ class AhkSampler:
     def type_fn(self, n: int, xs: XiFamily) -> TypeFingerprint:
         raise NotImplementedError
 
-    def sublanguage(self) -> tuple[int, ...]:
-        return tuple(range(len(self.signature)))
-
     @cached_property
     def _language(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return self.sublanguage(), self.signature.arities()
+        """Sublanguage (every symbol) and arities of type_fn's fingerprints."""
+        return tuple(range(len(self.signature))), self.signature.arities()
 
     def _from_bits(self, n: int, bits: int) -> TypeFingerprint:
         """Fingerprint of an injective n-tuple from its packed atom bits."""
         sublanguage, arities = self._language
         return TypeFingerprint(n, sublanguage, arities, bits)
-
-    def _fingerprint(
-        self, n: int, atom_fn: Callable[[int, tuple[int, ...]], bool]
-    ) -> TypeFingerprint:
-        """Assemble a fingerprint for an injective tuple (eq bits all false)."""
-        return TypeFingerprint.build(
-            n,
-            self.sublanguage(),
-            self.signature.arities(),
-            atom_fn,
-            lambda i, j: False,
-        )
 
 
 def sample(sampler: AhkSampler, n: int, seed: SeedKey) -> FiniteStructure:

@@ -9,7 +9,7 @@ strings.
 from __future__ import annotations
 
 from .engine import AhkSampler
-from .logic import Signature, TypeFingerprint
+from .logic import Signature, TypeFingerprint, pack_atoms
 from .seeds import XiFamily
 
 
@@ -27,11 +27,8 @@ class BrokenSupersetSampler(AhkSampler):
 
     def type_fn(self, n: int, xs: XiFamily) -> TypeFingerprint:
         everyone = frozenset(range(n))
-
-        def atom(sym: int, t: tuple[int, ...]) -> bool:
-            return xs.value(everyone, stream=t[0]) < 0.5
-
-        return self._fingerprint(n, atom)
+        atoms = [(0, (i,)) for i in range(n) if xs.value(everyone, stream=i) < 0.5]
+        return self._from_bits(n, pack_atoms(n, self._language[1], atoms))
 
 
 class IndexKeyedSampler(AhkSampler):
@@ -42,19 +39,19 @@ class IndexKeyedSampler(AhkSampler):
     coherence_check and invariance_test flag it loudly.
     """
 
-    def __init__(self, p_even: float = 0.9, p_odd: float = 0.1):
-        self.p_even = p_even
-        self.p_odd = p_odd
+    P_EVEN = 0.9
+    P_ODD = 0.1
+
+    def __init__(self):
         self.signature = Signature((("P", 1),))
         self.name = "broken-index-keyed"
 
     def type_fn(self, n: int, xs: XiFamily) -> TypeFingerprint:
-        def atom(sym: int, t: tuple[int, ...]) -> bool:
-            i = t[0]
-            threshold = self.p_even if i % 2 == 0 else self.p_odd
-            return xs.value((i,)) < threshold
-
-        return self._fingerprint(n, atom)
+        atoms = [
+            (0, (i,)) for i in range(n)
+            if xs.value((i,)) < (self.P_EVEN if i % 2 == 0 else self.P_ODD)
+        ]
+        return self._from_bits(n, pack_atoms(n, self._language[1], atoms))
 
 
 class EmptySampler(AhkSampler):
@@ -65,12 +62,11 @@ class EmptySampler(AhkSampler):
     without facts.
     """
 
-    def __init__(self, arity: int = 2):
-        self.signature = Signature((("R0", arity),))
+    ARITY = 2
+
+    def __init__(self):
+        self.signature = Signature((("R0", self.ARITY),))
         self.name = "empty"
 
     def type_fn(self, n: int, xs: XiFamily) -> TypeFingerprint:
-        def atom(sym: int, t: tuple[int, ...]) -> bool:
-            return False
-
-        return self._fingerprint(n, atom)
+        return self._from_bits(n, 0)

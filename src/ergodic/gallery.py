@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from .engine import AhkSampler
-from .logic import Signature, TypeFingerprint, _layout
+from .logic import Signature, TypeFingerprint, _atom_bit, _layout, pack_atoms
 from .seeds import BITS_PER_STREAM, XiFamily
 
 
@@ -38,7 +38,7 @@ def _relation_block(prefix: str, count: int, arity: int) -> tuple[tuple[str, int
     return tuple((f"{prefix}{m}", arity) for m in range(count))
 
 
-# Fingerprint layout helpers (see logic._layout for the bit order).
+# Fast-path masks; bit positions come from logic's fingerprint layout.
 
 
 @lru_cache(maxsize=None)
@@ -48,22 +48,12 @@ def _orderings(n: int, k: int) -> tuple[tuple[tuple[frozenset, int], ...], int]:
     Also returns the block stride n**k, the distance between the bits of
     one tuple under consecutive k-ary symbols.
     """
-    atoms, _, index, _ = _layout(n, (k,))
     subsets = tuple(
-        (frozenset(c), sum(1 << index[(0, t)] for t in permutations(c)))
+        (frozenset(c), sum(1 << _atom_bit(n, (k,), 0, t) for t in permutations(c)))
         for c in combinations(range(n), k)
     )
-    return subsets, len(atoms)
-
-
-@lru_cache(maxsize=None)
-def _blowup_offsets(n: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Bit of E(i, 0) and of P_0(i), per point i, in the blowup layout."""
-    _, _, index, _ = _layout(n, (2,) + (1,) * d)
-    return (
-        tuple(index[(0, (i, 0))] for i in range(n)),
-        tuple(index[(1, (i,))] for i in range(n)),
-    )
+    _, stride = _layout(n, (k,))
+    return subsets, stride
 
 
 def _symbol_bytes(d: int) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
@@ -153,23 +143,15 @@ class MaxGraph(AhkSampler):
 
     def type_fn(self, n: int, xs: XiFamily) -> TypeFingerprint:
         d = self.d
-        prefixes: dict[int, int] = {}
-
-        def prefix(i: int) -> int:
-            got = prefixes.get(i)
-            if got is None:
-                got = xs.prefix((i,), d)
-                prefixes[i] = got
-            return got
-
-        def atom(sym: int, t: tuple[int, ...]) -> bool:
-            i, j = t
-            if i == j:
-                return False
-            m = max(prefix(i), prefix(j))
-            return (m >> (d - 1 - sym)) & 1 == 1
-
-        return self._fingerprint(n, atom)
+        # prefixes are read only for vertices in some pair: none at n = 1
+        prefix = [xs.prefix((i,), d) for i in range(n)] if n > 1 else []
+        atoms = []
+        for i, j in combinations(range(n), 2):
+            m = max(prefix[i], prefix[j])
+            for sym in range(d):
+                if m >> (d - 1 - sym) & 1:
+                    atoms += ((sym, (i, j)), (sym, (j, i)))
+        return self._from_bits(n, pack_atoms(n, self._language[1], atoms))
 
 
 class GeometricGraph(AhkSampler):
@@ -205,27 +187,18 @@ class GeometricGraph(AhkSampler):
         return max(abs(x - y) for x, y in zip(a, b)) < 1.0
 
     def type_fn(self, n: int, xs: XiFamily) -> TypeFingerprint:
-        points: dict[int, tuple[float, ...]] = {}
-
-        def point(i: int) -> tuple[float, ...]:
-            got = points.get(i)
-            if got is None:
-                if i in self.point_override:
-                    got = self.point_override[i]
-                else:
-                    got = tuple(2.0 * xs.value((i,), c) for c in range(self.dim))
-                points[i] = got
-            return got
-
-        def atom(sym: int, t: tuple[int, ...]) -> bool:
-            i, j = t
-            if i == j:
-                return False
-            if not self._close(point(i), point(j)):
-                return False
-            return xs.value(frozenset((i, j))) < self.p
-
-        return self._fingerprint(n, atom)
+        # points are read only for vertices in some pair: none at n = 1
+        points = [
+            self.point_override[i] if i in self.point_override
+            else tuple(2.0 * xs.value((i,), c) for c in range(self.dim))
+            for i in range(n)
+        ] if n > 1 else []
+        atoms = []
+        for i, j in combinations(range(n), 2):
+            # the pair coin is read only when the points are close
+            if self._close(points[i], points[j]) and xs.value(frozenset((i, j))) < self.p:
+                atoms += ((0, (i, j)), (0, (j, i)))
+        return self._from_bits(n, pack_atoms(n, self._language[1], atoms))
 
 
 class BlowupControl(AhkSampler):
@@ -254,7 +227,9 @@ class BlowupControl(AhkSampler):
         return Fraction(1, 2 ** (self.num_classes - 1))
 
     def type_fn(self, n: int, xs: XiFamily) -> TypeFingerprint:
-        rows, units = _blowup_offsets(n, self.d)
+        # E(i, j) is bit e + i*n + j; P_m(i) is bit p + m*n + i, one unary
+        # block of n bits per symbol
+        (e, p, *_), _ = _layout(n, self._language[1])
         classes = [truncated_geometric(xs.value((i,)), self.num_classes) for i in range(n)]
         members: dict[int, int] = {}
         for i, c in enumerate(classes):
@@ -262,7 +237,7 @@ class BlowupControl(AhkSampler):
         bits = 0
         for i, c in enumerate(classes):
             # E is the literal equivalence "same class"; P_m reads bit m of c+1
-            bits |= members[c] << rows[i] | _spread_lsb(c + 1, n) << units[i]
+            bits |= members[c] << e + i * n | _spread_lsb(c + 1, n) << p + i
         return self._from_bits(n, bits)
 
 
@@ -284,35 +259,21 @@ class KaleidoscopeDigraph(AhkSampler):
         self.name = f"digraph:d={d}"
 
     def type_fn(self, n: int, xs: XiFamily) -> TypeFingerprint:
-        d = self.d
-        side: dict[int, bool] = {}  # True = loop side (O)
-        ladder: dict[int, int] = {}
-
-        def is_o(i: int) -> bool:
-            got = side.get(i)
-            if got is None:
-                got = xs.value((i,), 0) < 0.5
-                side[i] = got
-            return got
-
-        def cls(i: int) -> int:
-            got = ladder.get(i)
-            if got is None:
-                got = truncated_geometric(xs.value((i,), 1), d)
-                ladder[i] = got
-            return got
-
-        def atom(sym: int, t: tuple[int, ...]) -> bool:
-            i, j = t
-            if i == j:
-                return is_o(i)
-            if is_o(i) and is_o(j):
-                return cls(i) <= cls(j)
-            if not is_o(i) and is_o(j):
-                return xs.bit((i,), cls(j), base_stream=2) == 1
-            return False
-
-        return self._fingerprint(n, atom)
+        is_o = [xs.value((i,), 0) < 0.5 for i in range(n)]  # True = loop side (O)
+        # an O vertex's class is read only when some other vertex exists
+        cls = {
+            i: truncated_geometric(xs.value((i,), 1), self.d) for i in range(n) if is_o[i]
+        } if n > 1 else {}
+        atoms = [(0, (i, i)) for i in range(n) if is_o[i]]
+        for i, j in permutations(range(n), 2):
+            if not is_o[j]:
+                continue  # nothing points into P
+            if is_o[i]:
+                if cls[i] <= cls[j]:
+                    atoms.append((0, (i, j)))
+            elif xs.bit((i,), cls[j], base_stream=2):
+                atoms.append((0, (i, j)))
+        return self._from_bits(n, pack_atoms(n, self._language[1], atoms))
 
 
 class BipartiteLabels(AhkSampler):
@@ -349,42 +310,20 @@ class BipartiteLabels(AhkSampler):
         return min(k, self.j_depth)
 
     def type_fn(self, n: int, xs: XiFamily) -> TypeFingerprint:
-        marked: dict[int, bool] = {}
-
-        def is_marked(x: int) -> bool:
-            got = marked.get(x)
-            if got is None:
-                got = xs.value((x,), 0) < 0.5
-                marked[x] = got
-            return got
-
-        def in_set(x: int, i: int) -> bool:
-            return xs.bit((x,), i, base_stream=1) == 1
-
-        pair_memo: dict[tuple[int, int], tuple[int, int]] = {}
-
-        def pair_data(x: int, y: int) -> tuple[int, int]:
-            got = pair_memo.get((x, y))
-            if got is None:
-                label = truncated_geometric(xs.value(frozenset((x, y)), 0), self.i_depth)
-                height = self.column_height(
-                    in_set(x, label), xs.value(frozenset((x, y)), 1)
-                )
-                got = (label, height)
-                pair_memo[(x, y)] = got
-            return got
-
-        def atom(sym: int, t: tuple[int, ...]) -> bool:
-            if sym == 0:
-                return is_marked(t[0])
-            x, y = t
-            if x == y or not is_marked(x) or is_marked(y):
-                return False
-            i, j = divmod(sym - 1, self.j_depth)
-            label, height = pair_data(x, y)
-            return label == i and j < height
-
-        return self._fingerprint(n, atom)
+        marked = [xs.value((x,), 0) < 0.5 for x in range(n)]
+        atoms = [(0, (x,)) for x in range(n) if marked[x]]
+        # only a marked -> unmarked pair reads its label, column and x's label set
+        for x, y in permutations(range(n), 2):
+            if not marked[x] or marked[y]:
+                continue
+            pair = frozenset((x, y))
+            label = truncated_geometric(xs.value(pair, 0), self.i_depth)
+            in_set = xs.bit((x,), label, base_stream=1) == 1
+            height = self.column_height(in_set, xs.value(pair, 1))
+            # R^label_j for j < height: symbol 1 + label * j_depth + j
+            first = 1 + label * self.j_depth
+            atoms += ((sym, (x, y)) for sym in range(first, first + height))
+        return self._from_bits(n, pack_atoms(n, self._language[1], atoms))
 
 
 class MixtureControl(AhkSampler):
@@ -410,14 +349,11 @@ class MixtureControl(AhkSampler):
 
     def type_fn(self, n: int, xs: XiFamily) -> TypeFingerprint:
         p = self.p1 if xs.value(()) < 0.5 else self.p2
-
-        def atom(sym: int, t: tuple[int, ...]) -> bool:
-            i, j = t
-            if i == j:
-                return False
-            return xs.value(frozenset((i, j))) < p
-
-        return self._fingerprint(n, atom)
+        atoms = []
+        for i, j in combinations(range(n), 2):
+            if xs.value(frozenset((i, j))) < p:
+                atoms += ((0, (i, j)), (0, (j, i)))
+        return self._from_bits(n, pack_atoms(n, self._language[1], atoms))
 
 
 # ---------------------------------------------------------------------------

@@ -943,14 +943,16 @@ class LimitSample:
 
 def sample_structure(handle: LimitHandle, m: int, depth: int, seed: SeedKey,
                      max_extra: int = 64) -> LimitSample:
-    """Finite snapshot over the stage-`depth` language.
+    """Finite snapshot over the language of the level it reads.
 
     The m points are sampled independently from per-point seeds; facts
-    are read at the first level where all projections are distinct and
-    off the reservoir (type preservation makes the answers independent
-    of the level chosen, so reading deeper is harmless). If two points
-    still collide `max_extra` levels past `depth`, the colliding pair
-    is reported instead of guessing.
+    are read at the first level at or past `depth` where all projections
+    are distinct and off the reservoir, over that level's language. The
+    stage-`depth` language alone cannot tell apart two points that share
+    a stage-`depth` cell, so a snapshot that reads deeper also names the
+    symbols that separate them. If two points still collide `max_extra`
+    levels past `depth`, the colliding pair is reported instead of
+    guessing.
     """
     points = [PathPoint(handle, seed.child("point", i)) for i in range(m)]
     level = depth
@@ -976,7 +978,7 @@ def sample_structure(handle: LimitHandle, m: int, depth: int, seed: SeedKey,
         level += 1
 
     theory = handle.theory
-    lang_ids = tuple(sorted(handle.stage(depth).lang))
+    lang_ids = tuple(sorted(handle.stage(level).lang))
     sig_syms = []
     concrete = theory.language.materialize((max(lang_ids) + 1) if lang_ids else 0)
     for sym in lang_ids:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
@@ -264,20 +264,64 @@ def eval_qf(structure: FiniteStructure, phi: QfFormula, assignment: tuple[int, .
 
 
 @lru_cache(maxsize=None)
-def _layout(arity: int, sub_arities: tuple[int, ...]):
-    """Canonical atom enumeration for a fingerprint.
+def _layout(arity: int, sub_arities: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Where each block of a fingerprint's bits starts.
 
     Bit order: symbols in sublanguage order, then argument tuples in
-    lexicographic order over variable indices, then equality bits for
-    i < j in lexicographic order.
+    lexicographic order over variable indices (the order of
+    itertools.product), then equality bits for i < j in lexicographic
+    order. Symbol si's atom on t is bit offsets[si] + t read as a
+    base-`arity` numeral; returns (offsets, first equality bit).
     """
-    atoms: list[tuple[int, tuple[int, ...]]] = []
-    for si, ar in enumerate(sub_arities):
-        atoms.extend((si, t) for t in product(range(arity), repeat=ar))
-    eq_pairs = [(i, j) for i in range(arity) for j in range(i + 1, arity)]
-    atom_index = {a: k for k, a in enumerate(atoms)}
-    eq_index = {p: len(atoms) + k for k, p in enumerate(eq_pairs)}
-    return atoms, eq_pairs, atom_index, eq_index
+    offsets = []
+    base = 0
+    for ar in sub_arities:
+        offsets.append(base)
+        base += arity**ar
+    return tuple(offsets), base
+
+
+def _atom_bit(arity: int, arities: tuple[int, ...], si: int, args: tuple[int, ...]) -> int:
+    """Bit index of the atom si(args); LogicError when the layout has no such atom."""
+    if not 0 <= si < len(arities) or len(args) != arities[si]:
+        raise LogicError(f"no atom {si}{tuple(args)} in a fingerprint of arities {arities}")
+    k = 0
+    for a in args:
+        if not 0 <= a < arity:
+            raise LogicError(f"argument {a} out of range for fingerprint arity {arity}")
+        k = k * arity + a
+    return _layout(arity, arities)[0][si] + k
+
+
+def _eq_bit(arity: int, arities: tuple[int, ...], i: int, j: int) -> int:
+    """Bit index of the equality x_i = x_j, for 0 <= i < j < arity."""
+    if not 0 <= i < j < arity:
+        raise LogicError(f"no equality bit ({i}, {j}) at fingerprint arity {arity}")
+    return _layout(arity, arities)[1] + i * (2 * arity - i - 1) // 2 + j - i - 1
+
+
+def pack_atoms(arity: int, arities: tuple[int, ...], atoms) -> int:
+    """Fingerprint bits of an injective tuple whose true atoms are `atoms`.
+
+    `atoms` yields (symbol position, argument tuple) pairs; every other
+    atom and every equality bit is false.
+    """
+    ks = [_atom_bit(arity, arities, si, args) for si, args in atoms]
+    if len(ks) < 64:  # a few small ints: OR them in
+        bits = 0
+        for k in ks:
+            bits |= 1 << k
+        return bits
+    width = _layout(arity, arities)[1]
+    digits = bytearray(b"0") * width  # digit width - 1 - k is bit k
+    for k in ks:
+        digits[width - 1 - k] = 49  # ord("1")
+    return int(digits, 2)
+
+
+def _width(arity: int, arities: tuple[int, ...]) -> int:
+    """Number of bits in a fingerprint: its atoms, then its equalities."""
+    return _layout(arity, arities)[1] + arity * (arity - 1) // 2
 
 
 @lru_cache(maxsize=1 << 12)
@@ -292,13 +336,16 @@ def _gather_table(arity: int, arities: tuple[int, ...], coords: tuple[int, ...])
     """
     if any(not 0 <= c < arity for c in coords):
         raise LogicError("coordinate out of range for fingerprint arity")
-    atoms, eq_pairs, atom_index, eq_index = _layout(arity, arities)
-    width = len(atoms) + len(eq_pairs)
-    out_atoms, out_pairs, _, _ = _layout(len(coords), arities)
-    picks = [width - atom_index[(si, tuple(coords[x] for x in t))] for si, t in out_atoms]
-    for i, j in out_pairs:
+    width = _width(arity, arities)
+    # result atoms in layout order: symbol si on the tuple (coords[x] for x in t)
+    picks = [
+        width - _atom_bit(arity, arities, si, t)
+        for si, ar in enumerate(arities)
+        for t in product(coords, repeat=ar)
+    ]
+    for i, j in combinations(range(len(coords)), 2):
         a, b = sorted((coords[i], coords[j]))
-        picks.append(0 if a == b else width - eq_index[(a, b)])
+        picks.append(0 if a == b else width - _eq_bit(arity, arities, a, b))
     picks.reverse()
     return (itemgetter(*picks) if picks else None), 1 << width
 
@@ -318,46 +365,20 @@ class TypeFingerprint:
     arities: tuple[int, ...]
     bits: int
 
-    def _maps(self):
-        return _layout(self.arity, self.arities)
-
     @property
     def bit_length(self) -> int:
-        atoms, eq_pairs, _, _ = self._maps()
-        return len(atoms) + len(eq_pairs)
+        return _width(self.arity, self.arities)
 
     def has(self, sub_pos: int, args: tuple[int, ...]) -> bool:
         """Atom value for the sublanguage symbol at position sub_pos."""
-        _, _, atom_index, _ = self._maps()
-        return bool((self.bits >> atom_index[(sub_pos, tuple(args))]) & 1)
+        return bool(self.bits >> _atom_bit(self.arity, self.arities, sub_pos, args) & 1)
 
     def eq_bit(self, i: int, j: int) -> bool:
         if i == j:
             return True
         if i > j:
             i, j = j, i
-        _, _, _, eq_index = self._maps()
-        return bool((self.bits >> eq_index[(i, j)]) & 1)
-
-    @classmethod
-    def build(
-        cls,
-        arity: int,
-        sublanguage: tuple[int, ...],
-        arities: tuple[int, ...],
-        atom_fn: Callable[[int, tuple[int, ...]], bool],
-        eq_fn: Callable[[int, int], bool],
-    ) -> "TypeFingerprint":
-        atoms, eq_pairs, _, _ = _layout(arity, arities)
-        bits = 0
-        for k, (si, t) in enumerate(atoms):
-            if atom_fn(si, t):
-                bits |= 1 << k
-        base = len(atoms)
-        for k, (i, j) in enumerate(eq_pairs):
-            if eq_fn(i, j):
-                bits |= 1 << (base + k)
-        return cls(arity, tuple(sublanguage), tuple(arities), bits)
+        return bool(self.bits >> _eq_bit(self.arity, self.arities, i, j) & 1)
 
     def reindexed(self, coords: tuple[int, ...]) -> "TypeFingerprint":
         """Fingerprint of the tuple b with b[x] = a[coords[x]].
@@ -439,14 +460,21 @@ def qf_fingerprint(
     for a in tup:
         if not 0 <= a < structure.domain_size:
             raise LogicError("tuple element out of domain")
+    sublanguage = tuple(sublanguage)
     arities = tuple(structure.signature.arity(s) for s in sublanguage)
-    return TypeFingerprint.build(
-        len(tup),
-        tuple(sublanguage),
-        arities,
-        lambda si, t: structure.holds(sublanguage[si], tuple(tup[x] for x in t)),
-        lambda i, j: tup[i] == tup[j],
-    )
+    offsets, eq_base = _layout(len(tup), arities)
+    facts = structure.facts
+    bits = 0
+    for sym, ar, k in zip(sublanguage, arities, offsets):
+        # the block's atoms in layout order: sym on each tuple over tup
+        for args in product(tup, repeat=ar):
+            if (sym, args) in facts:
+                bits |= 1 << k
+            k += 1
+    for k, (a, b) in enumerate(combinations(tup, 2), eq_base):
+        if a == b:
+            bits |= 1 << k
+    return TypeFingerprint(len(tup), sublanguage, arities, bits)
 
 
 def structure_from_fingerprint(
@@ -456,12 +484,24 @@ def structure_from_fingerprint(
 
     The fingerprint must describe the identity tuple (0..n-1) over a
     sublanguage of `signature`; its atom bits then enumerate every fact.
+    One pass over the bit string finds the set bits, row by row.
     """
     if fp.arity != domain_size:
         raise LogicError("fingerprint arity differs from domain size")
-    atoms, _, _, _ = _layout(fp.arity, fp.arities)
-    facts = set()
-    for k, (si, t) in enumerate(atoms):
-        if (fp.bits >> k) & 1:
-            facts.add((fp.sublanguage[si], t))
+    n = fp.arity
+    offsets, _ = _layout(n, fp.arities)
+    digits = format(fp.bits, "b")[::-1]  # digit k is bit k
+    facts = []
+    for sym, ar, start in zip(fp.sublanguage, fp.arities, offsets):
+        if ar == 0:
+            if fp.bits >> start & 1:
+                facts.append((sym, ()))
+            continue
+        # one row of n bits per choice of the first ar - 1 arguments
+        for row, head in enumerate(product(range(n), repeat=ar - 1)):
+            lo = start + row * n
+            k = digits.find("1", lo, lo + n)
+            while k >= 0:
+                facts.append((sym, (*head, k - lo)))
+                k = digits.find("1", k + 1, lo + n)
     return FiniteStructure(signature, domain_size, frozenset(facts))

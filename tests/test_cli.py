@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ergodic import cli
 from ergodic.cli import main, replay
 
 SEED_ARGS = ["--seed", "00112233445566778899aabbccddeeff"]
@@ -85,6 +86,8 @@ def test_estimate_csv_to_file(capsys):
         ["postypes", "--sampler", "maxgraph:d=3", "--arity", "-2"],
         ["build-limit", "--stages", "0"],
         ["build-limit", "--stages", "3", "--base-depth", "1"],
+        # --trials only on the subcommands that read it
+        ["build-limit", "--stages", "3", "--trials", "7"],
         # formula arity differs from the symbol's
         ["estimate", "--sampler", "bipartite:i=2,j=2", "--phi", "(rel P x0 x1)"],
         ["estimate", "--sampler", "kaleidoscope:k=3,d=1", "--phi", "(rel R0 x0 x1)"],
@@ -194,16 +197,20 @@ def test_build_limit_sample_rescale_pipeline(capsys):
     assert {"marginal-base", "marginal-rescaled", "gap"} <= stats
 
 
-def test_limit_sample_audit_failure_exits_2(capsys):
-    # at depth 5 only a short prefix of the scheduled type is materialized,
-    # so the omission/distinctness audits can and do fail for this seed
+def test_limit_sample_audit_failure_exits_2(capsys, monkeypatch):
     run(capsys, ["build-limit", "--stages", "5", "--out", "b5.json", *SEED_ARGS])
-    code, out = run(capsys, ["limit-sample", "--manifest", "b5.json", "-n", "4",
-                             "--depth", "5", *SEED_ARGS])
+    argv = ["limit-sample", "--manifest", "b5.json", "-n", "4", "--depth", "5", *SEED_ARGS]
+    # these points first separate at level 7, so the snapshot reads there,
+    # over that level's language, and every audit passes
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert all(r["passed"] for r in jsonl_rows(out) if "audit" in r)
+    # a failed audit exits 2; --no-audit skips the audits
+    monkeypatch.setattr(cli, "type_omitted_in_sample", lambda samp, theory: False)
+    code, out = run(capsys, argv)
     assert code == 2
     assert any(r.get("passed") is False for r in jsonl_rows(out) if "audit" in r)
-    code, _ = run(capsys, ["limit-sample", "--manifest", "b5.json", "-n", "4",
-                           "--depth", "5", "--no-audit", *SEED_ARGS])
+    code, _ = run(capsys, [*argv, "--no-audit"])
     assert code == 0
 
 
@@ -228,7 +235,7 @@ def test_replay_reproduces_runs(capsys, argv, manifest):
 def test_replay_pipeline_commands(capsys):
     main(["build-limit", "--stages", "4", "--out", "p.json", *SEED_ARGS])
     main(["limit-sample", "--manifest", "p.json", "-n", "4", "--depth", "4",
-          "--trials", "2", "--out", "pts.jsonl", *SEED_ARGS])
+          "--out", "pts.jsonl", *SEED_ARGS])
     main(["rescale", "--manifest", "p.json", "--preset", "p0-light", "--trials", "200",
           "--out", "resc.jsonl", *SEED_ARGS])
     capsys.readouterr()

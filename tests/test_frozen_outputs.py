@@ -38,6 +38,25 @@ CASES = [
     ("sample.jsonl", ["sample", "--sampler", "kaleidoscope:k=2,d=3", "-n", "8",
                       "--seed", SEED_A], 0,
      "202a946ac17058fe5f550c76480042189a11b4a7"),
+    ("sample_maxgraph.jsonl", ["sample", "--sampler", "maxgraph:d=4", "-n", "8",
+                               "--seed", SEED_A], 0,
+     "4307b76ec97689a80df3e88a0af72919f02831ba"),
+    ("sample_geometric.jsonl", ["sample", "--sampler", "geometric:dim=2,norm=sup,p=0.5",
+                                "-n", "8", "--seed", SEED_A], 0,
+     "c7a7aa048cd974b7a1515c1adf850ce5af7e53f2"),
+    ("sample_digraph.jsonl", ["sample", "--sampler", "digraph:d=3", "-n", "8",
+                              "--seed", SEED_A], 0,
+     "53273f90ff7c6d0042e4e6755b76e184668fb9e4"),
+    ("sample_bipartite.jsonl", ["sample", "--sampler", "bipartite:i=2,j=2", "-n", "8",
+                                "--seed", SEED_A], 0,
+     "e2a1bde21239256b67fcacf39b81e3d6af8fd6dd"),
+    ("sample_mixture.jsonl", ["sample", "--sampler", "mixture:p1=0.1,p2=0.9", "-n", "8",
+                              "--seed", SEED_A], 0,
+     "b8f8ee0882bf65d641de0e2b09efe9b47d847f29"),
+    # with only 16 prefixes some pair type is unrooted, so roots exits 2
+    ("roots_maxgraph.jsonl", ["roots", "--sampler", "maxgraph:d=4", "-n", "8",
+                              "--seed", SEED_A], 2,
+     "a4c3482e91e7c74b3ffea689f0bff92b0a21c8e4"),
 ]
 
 

@@ -1,8 +1,10 @@
 """Gallery samplers against hand-computed and numerically integrated targets."""
 
+import functools
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -19,7 +21,8 @@ from ergodic.gallery import (
     parse_sampler_spec,
     truncated_geometric,
 )
-from ergodic.logic import Rel
+from ergodic.fixtures import BrokenSupersetSampler, EmptySampler, IndexKeyedSampler
+from ergodic.logic import FiniteStructure, Rel, qf_fingerprint
 from ergodic.seeds import BITS_PER_STREAM, SeedKey, XiFamily
 
 SEED = SeedKey.from_hex("00112233445566778899aabbccddeeff")
@@ -222,33 +225,144 @@ def test_sampled_structures_are_reproducible():
 # ---------------------------------------------------------------------------
 
 
+def read_off(sampler, n, holds):
+    """Fingerprint of (0..n-1) in the structure whose facts are the atoms where holds."""
+    sig = sampler.signature
+    facts = frozenset(
+        (sym, t)
+        for sym in range(len(sig))
+        for t in product(range(n), repeat=sig.arity(sym))
+        if holds(sym, t)
+    )
+    return qf_fingerprint(FiniteStructure(sig, n, facts), tuple(range(n)))
+
+
 def reference_kaleidoscope(sampler, n, xs):
     """R_m on a tuple: injective k-tuple and bit m of its set's value is 1."""
 
-    def atom(sym, t):
+    def holds(sym, t):
         s = frozenset(t)
-        if len(s) != sampler.k:
-            return False
-        return xs.bit(s, sym) == 1
+        return len(s) == sampler.k and xs.bit(s, sym) == 1
 
-    return sampler._fingerprint(n, atom)
+    return read_off(sampler, n, holds)
+
+
+def reference_maxgraph(sampler, n, xs):
+    """R_m(i, j): i != j and bit m of max(prefix_i, prefix_j) is set."""
+    d = sampler.d
+
+    @functools.cache
+    def prefix(i):
+        return xs.prefix((i,), d)
+
+    def holds(sym, t):
+        i, j = t
+        if i == j:
+            return False
+        return max(prefix(i), prefix(j)) >> (d - 1 - sym) & 1 == 1
+
+    return read_off(sampler, n, holds)
+
+
+def reference_geometric(sampler, n, xs):
+    """Edge iff the points lie within norm distance 1 and the pair coin is below p."""
+
+    def point(i):
+        if i in sampler.point_override:
+            return sampler.point_override[i]
+        return tuple(2.0 * xs.value((i,), c) for c in range(sampler.dim))
+
+    def holds(sym, t):
+        i, j = t
+        if i == j:
+            return False
+        gaps = [x - y for x, y in zip(point(i), point(j))]
+        if sampler.norm == "euclidean":
+            close = sum(g * g for g in gaps) < 1.0
+        else:
+            close = max(abs(g) for g in gaps) < 1.0
+        return close and xs.value(frozenset(t)) < sampler.p
+
+    return read_off(sampler, n, holds)
 
 
 def reference_blowup(sampler, n, xs):
     """E is "same class"; P_m reads bit m of class + 1."""
-    classes = {}
 
     def cls(i):
-        if i not in classes:
-            classes[i] = truncated_geometric(xs.value((i,)), sampler.num_classes)
-        return classes[i]
+        return truncated_geometric(xs.value((i,)), sampler.num_classes)
 
-    def atom(sym, t):
+    def holds(sym, t):
         if sym == 0:
             return cls(t[0]) == cls(t[1])
         return (cls(t[0]) + 1) >> (sym - 1) & 1 == 1
 
-    return sampler._fingerprint(n, atom)
+    return read_off(sampler, n, holds)
+
+
+def reference_digraph(sampler, n, xs):
+    """O vertices loop and are preordered by class; P -> O by P's class set."""
+
+    def is_o(i):
+        return xs.value((i,), 0) < 0.5
+
+    def cls(i):
+        return truncated_geometric(xs.value((i,), 1), sampler.d)
+
+    def holds(sym, t):
+        i, j = t
+        if i == j:
+            return is_o(i)
+        if is_o(i) and is_o(j):
+            return cls(i) <= cls(j)
+        if not is_o(i) and is_o(j):
+            return xs.bit((i,), cls(j), base_stream=2) == 1
+        return False
+
+    return read_off(sampler, n, holds)
+
+
+def reference_bipartite(sampler, n, xs):
+    """P by a fair coin; R^i_j(x, y) iff P(x), not P(y), label i and j < height."""
+
+    def marked(x):
+        return xs.value((x,), 0) < 0.5
+
+    def holds(sym, t):
+        if sym == 0:
+            return marked(t[0])
+        x, y = t
+        if x == y or not marked(x) or marked(y):
+            return False
+        i, j = divmod(sym - 1, sampler.j_depth)
+        pair = frozenset(t)
+        label = truncated_geometric(xs.value(pair, 0), sampler.i_depth)
+        in_set = xs.bit((x,), label, base_stream=1) == 1
+        return label == i and j < sampler.column_height(in_set, xs.value(pair, 1))
+
+    return read_off(sampler, n, holds)
+
+
+def reference_mixture(sampler, n, xs):
+    """The empty-set value picks p1 or p2; each pair then flips a p-coin."""
+    p = sampler.p1 if xs.value(()) < 0.5 else sampler.p2
+    return read_off(sampler, n, lambda sym, t: t[0] != t[1] and xs.value(frozenset(t)) < p)
+
+
+def reference_superset(sampler, n, xs):
+    """P(i) reads stream i of the whole domain's value."""
+    everyone = frozenset(range(n))
+    return read_off(sampler, n, lambda sym, t: xs.value(everyone, stream=t[0]) < 0.5)
+
+
+def reference_index_keyed(sampler, n, xs):
+    """P(i) with probability 0.9 at even i, 0.1 at odd i."""
+    return read_off(sampler, n, lambda sym, t: xs.value(t) < (0.9 if t[0] % 2 == 0 else 0.1))
+
+
+def reference_empty(sampler, n, xs):
+    """No facts at all."""
+    return read_off(sampler, n, lambda sym, t: False)
 
 
 LAYOUT_CASES = [
@@ -262,6 +376,22 @@ LAYOUT_CASES = [
     (BlowupControl(1), reference_blowup),
     (BlowupControl(3), reference_blowup),
     (BlowupControl(8), reference_blowup),
+    (MaxGraph(1), reference_maxgraph),
+    (MaxGraph(4), reference_maxgraph),
+    (MaxGraph(BITS_PER_STREAM + 3), reference_maxgraph),
+    (GeometricGraph(2, "sup", 0.5), reference_geometric),
+    (GeometricGraph(3, "euclidean", 0.7), reference_geometric),
+    (GeometricGraph(2, "euclidean", 1.0, point_override={0: (0.5, 0.5), 2: (1.2, 0.7)}),
+     reference_geometric),
+    (KaleidoscopeDigraph(1), reference_digraph),
+    (KaleidoscopeDigraph(3), reference_digraph),
+    (BipartiteLabels(2, 2), reference_bipartite),
+    (BipartiteLabels(3, 4), reference_bipartite),
+    (MixtureControl(0.1, 0.9), reference_mixture),
+    (MixtureControl(0.5, 0.5), reference_mixture),
+    (BrokenSupersetSampler(), reference_superset),
+    (IndexKeyedSampler(), reference_index_keyed),
+    (EmptySampler(), reference_empty),
 ]
 
 

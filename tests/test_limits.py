@@ -212,6 +212,20 @@ def test_sample_structure_is_deterministic(handle8):
     assert a.uids == b.uids
 
 
+def test_snapshot_read_past_its_depth_keeps_the_separating_symbols():
+    # 30 points cannot fit in the 15 cells of stage 4, so the snapshot reads
+    # deeper; over the stage-4 language a collided pair would look alike
+    handle = build_limit(4, SeedKey(0xDEE9))
+    samp = sample_structure(handle, 30, 4, SeedKey(0xDEEA))
+    assert samp.read_level > 4
+    assert samp.symbol_ids == tuple(sorted(handle.stage(samp.read_level).lang))
+    axioms = materialized_universal_axioms(handle.theory, samp.symbol_ids)
+    assert axioms and all(snapshot_axiom_holds(samp, ax) for ax in axioms)
+    assert type_omitted_in_sample(samp, handle.theory)
+    fps = unary_fingerprints(samp)
+    assert len(set(fps)) == len(fps) == 30
+
+
 def test_separation_gives_up_past_the_extra_budget():
     h = build_limit(2, SEED, check=False)
     with pytest.raises(SeparationError) as err:

@@ -15,10 +15,10 @@ from ergodic.logic import (
     Permutation,
     Rel,
     Signature,
-    TypeFingerprint,
     eval_qf,
     generated_signature,
     num_vars,
+    pack_atoms,
     qf_fingerprint,
     structure_from_fingerprint,
 )
@@ -145,18 +145,6 @@ def test_permutation_validates():
     assert len(sigma) == 3
 
 
-def test_fingerprint_build_bit_layout_is_stable():
-    fp1 = qf_fingerprint(M, (0, 1))
-    fp2 = TypeFingerprint.build(
-        2,
-        fp1.sublanguage,
-        fp1.arities,
-        lambda si, t: fp1.has(si, t),
-        lambda i, j: fp1.eq_bit(i, j),
-    )
-    assert fp1 == fp2 and fp1.bits == fp2.bits
-
-
 # Relations of every arity 0..3, random facts on a 5-element domain.
 MIXED_SIG = Signature((("Z", 0), ("P", 1), ("E", 2), ("T", 3), ("Q", 1)))
 
@@ -174,6 +162,59 @@ def _mixed_structure(seed):
 MIXED = [_mixed_structure(seed) for seed in range(3)]
 # injective tuples and tuples with repeated elements (non-trivial eq bits)
 MIXED_TUPLES = [(0, 1, 2, 3), (4, 2, 0, 1), (3, 3, 1, 0), (2, 0, 2, 2), (1, 4)]
+
+
+def test_fingerprint_bit_order_is_documented():
+    # atoms: symbols in sublanguage order, argument tuples in itertools.product
+    # order; then one equality bit per pair i < j, in lexicographic order
+    for M in MIXED:
+        for tup in MIXED_TUPLES:
+            fp = qf_fingerprint(M, tup)
+            n = len(tup)
+            atoms = [
+                (si, t)
+                for si, ar in enumerate(fp.arities)
+                for t in itertools.product(range(n), repeat=ar)
+            ]
+            pairs = list(itertools.combinations(range(n), 2))
+            assert fp.bit_length == len(atoms) + len(pairs)
+            assert fp.bits >> fp.bit_length == 0
+            for k, (si, t) in enumerate(atoms):
+                holds = M.holds(fp.sublanguage[si], tuple(tup[x] for x in t))
+                assert fp.has(si, t) == bool(fp.bits >> k & 1) == holds
+            for k, (i, j) in enumerate(pairs, len(atoms)):
+                same = tup[i] == tup[j]
+                assert fp.eq_bit(i, j) == fp.eq_bit(j, i) == bool(fp.bits >> k & 1) == same
+
+
+def test_has_refuses_atoms_outside_the_layout():
+    fp = qf_fingerprint(MIXED[0], (0, 1, 2))
+    for sub_pos, args in [(2, (0,)), (2, (0, 1, 2)), (3, (0, 1)), (0, (0,)),
+                          (1, (3,)), (2, (0, -1)), (5, (0,)), (-1, (0,))]:
+        with pytest.raises(LogicError):
+            fp.has(sub_pos, args)
+    for i, j in [(0, 3), (-1, 1)]:
+        with pytest.raises(LogicError):
+            fp.eq_bit(i, j)
+
+
+def test_structure_from_fingerprint_roundtrip_mixed_arity():
+    everyone = tuple(range(5))
+    for M in MIXED:
+        assert structure_from_fingerprint(qf_fingerprint(M, everyone), MIXED_SIG, 5) == M
+        # over a sublanguage, only its symbols' facts come back
+        fp = qf_fingerprint(M, everyone, (3, 0))
+        back = structure_from_fingerprint(fp, MIXED_SIG, 5)
+        assert back.facts == {(s, t) for s, t in M.facts if s in (3, 0)}
+
+
+def test_pack_atoms_sets_exactly_the_true_atoms():
+    # M has 6 facts, each MIXED structure over a hundred
+    for S in [M, *MIXED]:
+        everyone = tuple(range(S.domain_size))
+        fp = qf_fingerprint(S, everyone)
+        atoms = [(sym, t) for sym, t in S.facts]
+        assert pack_atoms(S.domain_size, fp.arities, atoms) == fp.bits
 
 
 def test_restrict_matches_prefix_fingerprint_mixed_arity():
