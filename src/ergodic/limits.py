@@ -11,10 +11,16 @@ newcomers, and grows the sublanguage far enough to refute the scheduled
 omitted type on every tuple and to separate the full types of every
 split pair.
 
-All stage bookkeeping is integer arithmetic (numerators over a common
-denominator); floating point appears only in Monte Carlo sampling.
-Paths through the stage tree are sampled lazily from per-point seeds,
-so structure sampling reads singleton randomness only.
+The stage tree is arithmetic. Stage k has the 2^k - 1 elements
+0 .. 2^k - 2, and an element is its position: positions below
+split = 2^(k-1) - 1 are carried from stage k-1, position u in
+[split, 2 split) is the copy of u - split, and 2^k - 2 is the new
+element. So element u is born at stage (u+1).bit_length(). Each stage
+adds exactly one new element and halves everything, so every element
+of stage k has mass 1/2^k and so has the reservoir. Masses stay exact
+rationals; floating point appears only in Monte Carlo sampling. Paths
+through the stage tree are sampled lazily from per-point seeds, so
+structure sampling reads singleton randomness only.
 
 The shipped guide oracle realizes the "kaleidoscope predicate" theory:
 countably many independent unary predicates, extension axioms for every
@@ -27,10 +33,11 @@ finite set of queries.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import gcd, lcm
+from itertools import product, repeat
+from math import lcm
 
 import numpy as np
 
@@ -53,7 +60,7 @@ from .morley import (
     morleyize,
     parse_fragment,
 )
-from .seeds import SeedKey, xi_bit, xi_raw
+from .seeds import BITS_PER_STREAM, SeedKey, xi_raw
 
 STAR = -1  # reservoir marker in position/parent arrays
 
@@ -307,65 +314,63 @@ class KaleidoscopePredicateGuide:
     """Lazily decided bit-sequence elements over the predicate levels.
 
     Each element handle owns an infinite sequence of fair bits, one per
-    predicate level, decided on first query from a keyed PRF. A
-    duplicate routes an agreed-upon set of levels to its original (so
-    the pair agrees on every materialized symbol, whenever decided) and
-    draws everything else fresh. Relation queries evaluate the node
-    formulas structurally over bits; the scheme node and equality are
-    answered from handle identity, and quantified nodes are constants.
-    Those identity/constant answers are sound for every finite query
-    set: no finite collection of bits can certify that two distinct
-    handles agree at all levels.
+    predicate level. Handles are stage positions (see the module
+    docstring), so the guide keeps two per-stage tables: `routed[j]` is
+    stage j's inherited levels, which a copy born at stage j+1 takes
+    from its origin (so the pair agrees on every materialized symbol,
+    whenever decided), and `forced[k]` is the (mask, bits) preset on
+    stage k's new element when no existing element met its demand.
+    Every other bit is the handle's own, from one keyed PRF word per 53
+    levels. Relation queries evaluate the node formulas structurally
+    over bits; the scheme node and equality are answered from handle
+    identity, and quantified nodes are constants. Those
+    identity/constant answers are sound for every finite query set: no
+    finite collection of bits can certify that two distinct handles
+    agree at all levels.
     """
 
     def __init__(self, key: SeedKey, theory: BuildTheory | None = None):
         self.theory = theory if theory is not None else build_theory()
         self._bitkey = key.child("guide-bits")
-        self._mask: list[int] = []  # decided levels, per handle
-        self._vals: list[int] = []
-        self._origin: list[int] = []  # duplicate's source handle, or -1
-        self._routed: list[int] = []  # levels answered by the source
+        self.routed: list[int] = []  # per stage j: levels copies born at j+1 share
+        self.forced: dict[int, tuple[int, int]] = {}  # stage -> new element's preset
+        # per handle: decided levels as bits, above a marker bit at the first
+        # undecided level; always a whole number of PRF words
+        self._levels: dict[int, int] = {}
         self._env_cache: dict[int, tuple[str, ...]] = {}
-
-    # -- handles -----------------------------------------------------------
-
-    def _new(self, origin: int = -1, routed: int = 0, mask: int = 0, vals: int = 0) -> int:
-        uid = len(self._mask)
-        self._mask.append(mask)
-        self._vals.append(vals)
-        self._origin.append(origin)
-        self._routed.append(routed)
-        return uid
-
-    def fresh(self) -> int:
-        return self._new()
-
-    def duplicate(self, handle: int, routed_levels: int) -> int:
-        """Copy agreeing with `handle` on every level in the mask."""
-        return self._new(origin=handle, routed=routed_levels)
-
-    def witness_for_pattern(self, mask: int, bits: int) -> int:
-        """Fresh element with the given levels pre-decided."""
-        return self._new(mask=mask, vals=bits & mask)
-
-    @property
-    def size(self) -> int:
-        return len(self._mask)
 
     # -- bits ----------------------------------------------------------------
 
     def bit(self, handle: int, level: int) -> int:
-        m = self._mask[handle]
-        if (m >> level) & 1:
-            return (self._vals[handle] >> level) & 1
-        if self._origin[handle] >= 0 and (self._routed[handle] >> level) & 1:
-            v = self.bit(self._origin[handle], level)
+        got = self._levels.get(handle, 1)
+        if got.bit_length() <= level + 1:
+            got = self._decide(handle, level // BITS_PER_STREAM)
+        return (got >> level) & 1
+
+    def _decide(self, handle: int, word: int) -> int:
+        """Decide the handle's levels through PRF word `word`."""
+        got = self._levels.get(handle, 1)
+        done = got.bit_length() - 1  # levels decided so far
+        end = (word + 1) * BITS_PER_STREAM
+        k = (handle + 1).bit_length()
+        if k > len(self.routed):
+            raise GuideError(f"handle {handle} is born at stage {k}, which is not built")
+        own = 0
+        for w in range(done // BITS_PER_STREAM, word + 1):
+            mantissa = xi_raw(self._bitkey, (handle,), w) >> 11
+            # the expansion's first bit is the mantissa's top bit: reverse
+            # the word so that bit n of `own` is level n
+            own |= int(f"{mantissa:053b}"[::-1], 2) << (w * BITS_PER_STREAM)
+        if handle + 2 == 1 << k:
+            mask, preset = self.forced.get(k, (0, 0))
         else:
-            v = xi_bit(self._bitkey, (handle,), level)
-        self._mask[handle] = m | (1 << level)
-        if v:
-            self._vals[handle] |= 1 << level
-        return v
+            origin = handle + 1 - (1 << (k - 1))
+            self.bit(origin, end - 1)  # decide the origin through the same word
+            mask, preset = self.routed[k - 1], self._levels[origin]
+        own = (own & ~mask) | (preset & mask)
+        got = (got ^ (1 << done)) | (own & ((1 << end) - (1 << done))) | (1 << end)
+        self._levels[handle] = got
+        return got
 
     # -- relations -----------------------------------------------------------
 
@@ -424,28 +429,69 @@ class KaleidoscopePredicateGuide:
 # ---------------------------------------------------------------------------
 
 
+class _Ones(Sequence):
+    """The sequence of n ones, stored as n."""
+
+    def __init__(self, n: int):
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Ones(len(range(self._n)[i]))
+        range(self._n)[i]  # IndexError out of range
+        return 1
+
+    def __iter__(self):
+        return repeat(1, self._n)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Ones) and other._n == self._n
+
+    def __repr__(self) -> str:
+        return f"_Ones({self._n})"
+
+
 @dataclass
 class Stage:
     """One level of the construction.
 
-    Masses are numerators over the shared denominator; `split` is the
-    size of the previous stage, so positions < split are carried
-    originals, positions in [split, 2*split) are their copies in order,
-    and positions >= 2*split are this stage's new elements (projecting
-    to the reservoir).
+    Stage k has the elements 0 .. 2^k - 2 (see the module docstring):
+    positions < split = 2^(k-1) - 1 are carried originals, positions in
+    [split, 2*split) are their copies in order, and position 2*split is
+    the new element, projecting to the reservoir. Masses are numerators
+    over the shared denominator; left out, they take their closed form,
+    1/2^k for every element and for the reservoir.
     """
 
     index: int
-    uids: list[int]
-    nums: list[int]
-    star_num: int
-    den: int
     lang: frozenset[int]
-    split: int
     inherit_levels: int  # bitmask: levels determined by the materialized language
     new_symbols: tuple[int, ...] = ()
-    witness_uid: int | None = None
     demand: tuple[int, int] | None = None  # pattern the scheduled axiom required
+    nums: Sequence[int] | None = None
+    star_num: int = 1
+    den: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.nums is None:
+            self.nums = _Ones(self.size)
+        if self.den is None:
+            self.den = 1 << self.index
+
+    @property
+    def size(self) -> int:
+        return (1 << self.index) - 1
+
+    @property
+    def split(self) -> int:
+        return self.size >> 1
+
+    @property
+    def uids(self) -> range:
+        return range(self.size)
 
     def parent_position(self, pos: int) -> int:
         if pos < self.split:
@@ -459,28 +505,12 @@ class Stage:
             return Fraction(self.star_num, self.den)
         return Fraction(self.nums[pos], self.den)
 
-    @property
-    def size(self) -> int:
-        return len(self.uids)
-
     def max_mass(self) -> Fraction:
-        best = self.star_num
-        if self.nums:
-            best = max(best, max(self.nums))
-        return Fraction(best, self.den)
+        return Fraction(max(self.star_num, max(self.nums, default=0)), self.den)
 
 
 def init_stage0() -> Stage:
-    return Stage(
-        index=0,
-        uids=[],
-        nums=[],
-        star_num=1,
-        den=1,
-        lang=frozenset(),
-        split=0,
-        inherit_levels=0,
-    )
+    return Stage(index=0, lang=frozenset(), inherit_levels=0)
 
 
 def _witness_requirement(theory: BuildTheory, axiom: Axiom) -> tuple[int, int] | None:
@@ -512,48 +542,29 @@ def advance_stage(stage: Stage, guide: KaleidoscopePredicateGuide,
                   entry: ScheduleEntry) -> Stage:
     if entry.k != stage.index:
         raise LimitError(f"schedule entry {entry.k} does not follow stage {stage.index}")
+    if len(guide.routed) != stage.index:
+        raise LimitError(f"the guide is at stage {len(guide.routed)}, not {stage.index}")
     theory = guide.theory
     m = stage.size
+    fresh = 2 * m  # the new element
 
     # Step 1: split every element, the copy agreeing on the current language.
-    copies = [guide.duplicate(u, stage.inherit_levels) for u in stage.uids]
-    uids = list(stage.uids) + copies
+    # Masses need no work: every one halves, and the reservoir splits evenly
+    # between the new element and itself, which is Stage's closed form.
+    guide.routed.append(stage.inherit_levels)
 
     # Step 2: witness the scheduled extension demand, or admit one plain
     # element so the reservoir always splits.
     pattern = _witness_requirement(theory, entry.pithy)
     if pattern is None:
-        if not uids:
+        if not m:
             raise LimitError("agreement axiom scheduled before any element exists")
-        fresh = guide.fresh()
     else:
         mask, bits = pattern
-        if any(_matches(guide, u, mask, bits) for u in uids):
-            fresh = guide.fresh()
-        else:
-            fresh = guide.witness_for_pattern(mask, bits)
-    uids.append(fresh)
+        if not any(_matches(guide, u, mask, bits) for u in range(fresh)):
+            guide.forced[stage.index + 1] = (mask, bits & mask)
 
-    # Step 3: halve carried masses; the reservoir splits evenly between
-    # the new element and the reservoir itself (N = 2 throughout, since
-    # at most one witness is ever needed per stage).
-    n_new = 1
-    big_n = n_new + 1
-    nums = [v * big_n for v in stage.nums] * 2
-    nums.extend([stage.star_num * 2] * n_new)
-    star_num = stage.star_num * 2
-    den = stage.den * 2 * big_n
-    common = gcd(star_num, den)
-    for v in nums:
-        if common == 1:
-            break
-        common = gcd(common, v)
-    if common > 1:
-        nums = [v // common for v in nums]
-        star_num //= common
-        den //= common
-
-    # Step 4: admit the enumerated symbol and enough agreement symbols
+    # Step 3: admit the enumerated symbol and enough agreement symbols
     # to refute the scheduled type on every tuple — the scheme symbol
     # covers repeats, and a decided difference level covers each pair
     # that is not already separated. The same levels separate the full
@@ -571,14 +582,14 @@ def advance_stage(stage: Stage, guide: KaleidoscopePredicateGuide,
     admit(theory.sc_symbol)
 
     pair_start = stage.inherit_levels.bit_length()
-    for orig, copy in zip(stage.uids, copies):
-        level = guide.separating_level(orig, copy, start=pair_start)
+    for orig in range(m):
+        level = guide.separating_level(orig, orig + m, start=pair_start)
         admit(theory.pred_symbol(level))
         admit(theory.iff_symbol(level))
 
     # the new element against everyone: peel a prefix bucket until it
     # stands alone, admitting the level at which each batch departs
-    bucket = [u for u in uids if u != fresh]
+    bucket = list(range(fresh))
     level = 0
     while bucket:
         want = guide.bit(fresh, level)
@@ -597,15 +608,9 @@ def advance_stage(stage: Stage, guide: KaleidoscopePredicateGuide,
 
     return Stage(
         index=stage.index + 1,
-        uids=uids,
-        nums=nums,
-        star_num=star_num,
-        den=den,
         lang=frozenset(lang),
-        split=m,
         inherit_levels=inherit,
         new_symbols=tuple(sorted(added)),
-        witness_uid=fresh,
         demand=pattern,
     )
 
@@ -651,23 +656,22 @@ class StageReport:
         }
 
 
-def _bit_vector(guide: KaleidoscopePredicateGuide, uids, level: int) -> np.ndarray:
-    return np.fromiter((guide.bit(u, level) for u in uids), dtype=bool, count=len(uids))
+def _bit_vector(guide: KaleidoscopePredicateGuide, size: int, level: int) -> np.ndarray:
+    return np.fromiter((guide.bit(u, level) for u in range(size)), dtype=bool, count=size)
 
 
 def _fact_array(guide: KaleidoscopePredicateGuide, theory: BuildTheory,
-                sym: int, uids: list[int]):
-    """Relation table over the given elements, vectorized per symbol class.
+                sym: int, size: int):
+    """Relation table over the elements 0 .. size-1, vectorized per symbol class.
 
-    Returns a scalar bool (arity 0), a vector (arity 1), or a matrix
-    (arity 2) matching guide.fact pointwise.
+    Returns a vector (arity 1) or a matrix (arity 2) matching guide.fact
+    pointwise.
     """
     kind, n = theory.classify(sym)
-    size = len(uids)
     if kind == "pred":
-        return _bit_vector(guide, uids, n)
+        return _bit_vector(guide, size, n)
     if kind == "riff":
-        v = _bit_vector(guide, uids, n)
+        v = _bit_vector(guide, size, n)
         return v[:, None] == v[None, :]
     node = theory.result.nodes[n]
     arity = node.arity
@@ -676,7 +680,7 @@ def _fact_array(guide: KaleidoscopePredicateGuide, theory: BuildTheory,
     def rec(phi: Fragment):
         if isinstance(phi, FAtom):
             level = int(phi.rel.resolved()[1:])
-            v = _bit_vector(guide, uids, level)
+            v = _bit_vector(guide, size, level)
             if arity <= 1:
                 return v
             return v[:, None] if var_axis[phi.args[0]] == 0 else v[None, :]
@@ -697,14 +701,10 @@ def _fact_array(guide: KaleidoscopePredicateGuide, theory: BuildTheory,
                 out = out | rec(s)
             return out
         if isinstance(phi, (FForall, FExists)):
-            shape = () if arity == 0 else (size,) * arity
-            return np.ones(shape, dtype=bool)
+            return np.ones((size,) * arity, dtype=bool)
         raise GuideError(f"cannot tabulate {phi!r}")
 
-    table = rec(node.formula)
-    if arity == 0:
-        return bool(np.all(table))
-    return np.broadcast_to(table, (size,) * arity)
+    return np.broadcast_to(rec(node.formula), (size,) * arity)
 
 
 def stage_invariants(prev: Stage, nxt: Stage,
@@ -739,45 +739,31 @@ def stage_invariants(prev: Stage, nxt: Stage,
             pushforward_ok = False
             pushforward_witness = STAR
 
-    carried = nxt.uids[: 2 * m]
+    # carried elements and their copies are 0 .. 2m-1; position p projects to p % m
     parent = np.arange(2 * m) % m if m else np.zeros(0, dtype=int)
     type_ok = True
     type_witness = None
     for sym in sorted(prev.lang):
         arity = theory.language.materialize(sym + 1).arity(sym)
-        if arity == 0:
-            if guide.fact(sym, ()) != guide.fact(sym, ()):
-                type_ok, type_witness = False, (sym, ())
-                break
+        if arity == 0 or m == 0:
+            # nothing to compare: a sentence's answer does not depend on
+            # the stage, and an empty stage has no tuples
             continue
-        if m == 0:
-            continue
-        new_tab = _fact_array(guide, theory, sym, carried)
-        old_tab = _fact_array(guide, theory, sym, prev.uids)
+        new_tab = _fact_array(guide, theory, sym, 2 * m)
+        old_tab = _fact_array(guide, theory, sym, m)
         if arity == 1:
             bad = new_tab != old_tab[parent]
             if bad.any():
                 pos = int(np.argmax(bad))
                 type_ok, type_witness = False, (sym, (pos,))
                 break
-        elif arity == 2:
+        else:  # the guided language is binary at most
             eligible = parent[:, None] != parent[None, :]
             np.fill_diagonal(eligible, True)
             bad = (new_tab != old_tab[np.ix_(parent, parent)]) & eligible
             if bad.any():
                 p, q = np.unravel_index(int(np.argmax(bad)), bad.shape)
                 type_ok, type_witness = False, (sym, (int(p), int(q)))
-                break
-        else:  # pragma: no cover - the guided language is binary at most
-            for args in product(range(2 * m), repeat=arity):
-                if len({parent[a] for a in args}) < len(set(args)):
-                    continue
-                got = guide.fact(sym, tuple(carried[a] for a in args))
-                want = guide.fact(sym, tuple(prev.uids[parent[a]] for a in args))
-                if got != want:
-                    type_ok, type_witness = False, (sym, args)
-                    break
-            if not type_ok:
                 break
 
     # the scheduled demand must be met inside the stage by an element of
@@ -788,8 +774,7 @@ def stage_invariants(prev: Stage, nxt: Stage,
     else:
         mask, bits = nxt.demand
         strong = any(
-            nxt.nums[pos] > 0 and _matches(guide, u, mask, bits)
-            for pos, u in enumerate(nxt.uids)
+            nxt.nums[u] > 0 and _matches(guide, u, mask, bits) for u in range(nxt.size)
         )
 
     return StageReport(
@@ -818,13 +803,14 @@ def _fiber(st: Stage, parent_pos: int, nums: list[int], star_num: int,
     """Children of a stage-k position at stage k+1 = st, with their masses.
 
     A carried element's children are itself and its copy; the reservoir's
-    are the reservoir and the new elements. `nums`, `star_num` and `den`
+    are the reservoir and the new element. `nums`, `star_num` and `den`
     are stage st's masses.
     """
     if parent_pos == STAR:
-        return [STAR, *range(2 * st.split, st.size)], [star_num, *nums[2 * st.split:]], den
-    positions = [parent_pos, st.split + parent_pos]
-    return positions, [nums[p] for p in positions], den
+        children = [STAR, st.size - 1]
+    else:
+        children = [parent_pos, st.split + parent_pos]
+    return children, [star_num if c == STAR else nums[c] for c in children], den
 
 
 class LimitHandle:
@@ -919,12 +905,6 @@ class PathPoint:
         self.extend_to(k)
         return self.positions[k]
 
-    def uid(self, k: int) -> int | None:
-        pos = self.position(k)
-        if pos == STAR:
-            return None
-        return self.handle.stage(k).uids[pos]
-
 
 def sample_point(handle: LimitHandle, depth: int, seed: SeedKey) -> PathPoint:
     point = PathPoint(handle, seed)
@@ -985,7 +965,7 @@ def sample_structure(handle: LimitHandle, m: int, depth: int, seed: SeedKey,
         sig_syms.append((concrete.name(sym), concrete.arity(sym)))
     signature = Signature(tuple(sig_syms))
 
-    uids = tuple(pt.uid(level) for pt in points)
+    uids = tuple(pt.position(level) for pt in points)
     facts = set()
     for local, sym in enumerate(lang_ids):
         arity = signature.arity(local)
@@ -1192,6 +1172,16 @@ def rescale(handle: LimitHandle, weight: Weight) -> RescaledHandle:
     return RescaledHandle(handle, weight)
 
 
+def _level_partition(handle: LimitHandle, stage: int,
+                     level: int) -> tuple[Stage, tuple[int, ...], tuple[str, ...]]:
+    """Stage, cell per element (0 where the level's bit is set, else 1), labels."""
+    st = handle.stage(stage)
+    assignment = tuple(1 - handle.guide.bit(u, level) for u in range(st.size))
+    if len(set(assignment)) < 2:
+        raise LimitError(f"level {level} does not split stage {stage}")
+    return st, assignment, (f"P{level}-true", f"P{level}-false", "reservoir")
+
+
 def weight_by_level(handle: LimitHandle, stage: int, level: int = 0,
                     ratio: tuple[int, int] = (1, 1)) -> Weight:
     """Two cells split by one predicate level, reservoir kept apart.
@@ -1199,14 +1189,7 @@ def weight_by_level(handle: LimitHandle, stage: int, level: int = 0,
     The reservoir cell keeps its current mass; the rest is divided
     between the level-true and level-false cells in the given ratio.
     """
-    st = handle.stage(stage)
-    if st.size == 0:
-        raise LimitError("cannot partition an empty stage")
-    assignment = tuple(
-        0 if handle.guide.bit(u, level) else 1 for u in st.uids
-    )
-    if len(set(assignment)) < 2:
-        raise LimitError(f"level {level} does not split stage {stage}")
+    st, assignment, labels = _level_partition(handle, stage, level)
     star_share = st.mass(STAR)
     rest = 1 - star_share
     a, b = ratio
@@ -1217,33 +1200,16 @@ def weight_by_level(handle: LimitHandle, stage: int, level: int = 0,
         rest * Fraction(b, a + b),
         star_share,
     )
-    return Weight(
-        stage=stage,
-        labels=(f"P{level}-true", f"P{level}-false", "reservoir"),
-        assignment=assignment,
-        star_cell=2,
-        masses=masses,
-    )
+    return Weight(stage, labels, assignment, star_cell=2, masses=masses)
 
 
 def weight_identity(handle: LimitHandle, stage: int, level: int = 0) -> Weight:
     """Same partition as weight_by_level but targeting the current masses."""
-    st = handle.stage(stage)
-    assignment = tuple(
-        0 if handle.guide.bit(u, level) else 1 for u in st.uids
-    )
-    if len(set(assignment)) < 2:
-        raise LimitError(f"level {level} does not split stage {stage}")
+    st, assignment, labels = _level_partition(handle, stage, level)
     cell_mass = [Fraction(0), Fraction(0), st.mass(STAR)]
     for pos, cell in enumerate(assignment):
         cell_mass[cell] += st.mass(pos)
-    return Weight(
-        stage=stage,
-        labels=(f"P{level}-true", f"P{level}-false", "reservoir"),
-        assignment=assignment,
-        star_cell=2,
-        masses=tuple(cell_mass),
-    )
+    return Weight(stage, labels, assignment, star_cell=2, masses=tuple(cell_mass))
 
 
 WEIGHT_PRESETS = ("identity", "p0-heavy", "p0-light")
@@ -1270,7 +1236,7 @@ def estimate_marginal(handle: LimitHandle, level: int, trials: int,
         while point.position(k) == STAR:
             k += 1
             point.extend_to(k)
-        hits += handle.guide.bit(point.uid(k), level)
+        hits += handle.guide.bit(point.position(k), level)
     return hits / trials
 
 

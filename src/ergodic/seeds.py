@@ -187,7 +187,10 @@ class XiFamily:
         return (mantissa >> (52 - offset)) & 1
 
     def prefix(self, positions: Iterable[int], count: int, base_stream: int = 0) -> int:
+        """Same as xi_prefix, reading each stream's word once."""
         out = 0
-        for i in range(count):
-            out = (out << 1) | self.bit(positions, i, base_stream)
+        for stream, start in enumerate(range(0, count, BITS_PER_STREAM), base_stream):
+            take = min(BITS_PER_STREAM, count - start)
+            mantissa = self.raw(positions, stream) >> 11
+            out = (out << take) | (mantissa >> (BITS_PER_STREAM - take))
         return out

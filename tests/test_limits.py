@@ -1,6 +1,7 @@
 """Staged limit construction: exact invariants, sampling, rescaling, manifests."""
 
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 from ergodic.limits import (
     STAR,
+    GuideError,
     KaleidoscopePredicateGuide,
     LimitError,
     LimitHandle,
@@ -32,7 +34,7 @@ from ergodic.limits import (
     weight_identity,
     weight_preset,
 )
-from ergodic.seeds import SeedKey
+from ergodic.seeds import SeedKey, xi_bit
 
 SEED = SeedKey.from_hex("00112233445566778899aabbccddeeff")
 
@@ -157,7 +159,13 @@ def test_some_element_serves_each_scheduled_demand(handle8):
             return True
 
         assert any(matches(u) for u in st.uids)
-        assert st.witness_uid in st.uids
+        # the new element is the last position, given the pattern only
+        # when nobody else had it
+        forced = guide.forced.get(st.index)
+        assert forced in (None, (mask, bits & mask))
+        if forced is not None:
+            assert matches(st.size - 1)
+            assert not any(matches(u) for u in range(st.size - 1))
 
 
 def test_builds_are_reproducible():
@@ -305,7 +313,74 @@ def test_manifest_tamper_detected():
 
 def test_guide_bits_are_lazy_but_stable(theory):
     guide = KaleidoscopePredicateGuide(SEED.child("g"), theory)
-    a = guide.fresh()
-    assert guide.bit(a, 3) == guide.bit(a, 3)
-    copy = guide.duplicate(a, 0b1)
-    assert guide.bit(copy, 0) == guide.bit(a, 0)  # routed level follows the origin
+    with pytest.raises(GuideError):
+        guide.bit(0, 3)  # element 0 is born at stage 1, not built yet
+    # stage 1 is element 0; stage 2 adds 1, the copy of 0 sharing level 0, and 2
+    guide.routed += [0, 0b1]
+    own = [xi_bit(SEED.child("g").child("guide-bits"), (1,), lv) for lv in range(120)]
+    assert guide.bit(0, 3) == guide.bit(0, 3)
+    assert guide.bit(1, 0) == guide.bit(0, 0)  # routed level follows the origin
+    assert [guide.bit(1, lv) for lv in range(1, 120)] == own[1:]
+
+
+def test_copy_follows_its_origin_past_the_first_prf_word(theory):
+    guide = KaleidoscopePredicateGuide(SEED.child("g"), theory)
+    routed = (1 << 60) | (1 << 100)
+    guide.routed += [0, routed]
+    # decide the copy first: its words pull the origin's
+    copy = [guide.bit(1, lv) for lv in range(160)]
+    origin = [guide.bit(0, lv) for lv in range(160)]
+    assert copy[60] == origin[60] and copy[100] == origin[100]
+    assert copy != origin  # every other level is the copy's own
+    # a real build: the copies born at stage 11 route levels past 52
+    h = build_limit(11, SeedKey(7), check=False)
+    prev = h.stage(10)
+    deep = [lv for lv in range(53, prev.inherit_levels.bit_length())
+            if (prev.inherit_levels >> lv) & 1]
+    assert deep
+    for u in range(0, prev.size, 31):
+        assert [h.guide.bit(u + prev.size, lv) for lv in deep] == [
+            h.guide.bit(u, lv) for lv in deep
+        ]
+
+
+def test_forced_witness_keeps_its_preset_bits(theory):
+    key = SEED.child("g")
+    guide = KaleidoscopePredicateGuide(key, theory)
+    guide.routed += [0, 0]
+    own = [xi_bit(key.child("guide-bits"), (2,), lv) for lv in range(60)]
+    # preset the opposite of the element's own bits on levels 0, 2 and 55
+    mask = (1 << 0) | (1 << 2) | (1 << 55)
+    bits = sum((1 - own[lv]) << lv for lv in (0, 2, 55))
+    guide.forced[2] = (mask, bits)
+    got = [guide.bit(2, lv) for lv in range(60)]
+    assert [got[lv] for lv in (0, 2, 55)] == [1 - own[lv] for lv in (0, 2, 55)]
+    assert [g for lv, g in enumerate(got) if not (mask >> lv) & 1] == [
+        o for lv, o in enumerate(own) if not (mask >> lv) & 1
+    ]
+
+
+# Frozen sha256 prefixes of stage-11 builds: the manifest, guide bits of
+# every 97th handle on levels 0-159 (the copies born at stage 11 route
+# levels past the first 53-bit PRF word), and a 30-point depth-11 snapshot
+# (seed 7's reads at level 14)
+STAGE11_PINS = [
+    (SeedKey(1), 2, "ce1520459fae9988", "f0df7eeef1e472f0", "349fdb049fa9b876"),
+    (SeedKey(7), 4, "24bf1f187a2274d1", "9b82008045b867dd", "01a008db065aa66a"),
+    (SeedKey(0xDEE9), 6, "e7d1d0307dbaaca4", "1ecab2ec12d3b089", "81c06d19fd5aa67c"),
+]
+
+
+@pytest.mark.parametrize("seed, base_depth, manifest, bits, snapshot", STAGE11_PINS)
+def test_stage11_build_is_pinned(seed, base_depth, manifest, bits, snapshot):
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()[:16]
+
+    # in this order: a snapshot that reads deeper also deepens the build
+    h = build_limit(11, seed, base_depth=base_depth, check=False)
+    got_manifest = digest(manifest_json(h).encode())
+    size = h.stage(11).size
+    got_bits = digest(bytes(h.guide.bit(u, lv) for u in range(0, size, 97) for lv in range(160)))
+    s = sample_structure(h, 30, 11, seed.child("pin"))
+    snap = repr((s.read_level, s.symbol_ids, s.uids, sorted(s.structure.facts)))
+    assert (got_manifest, got_bits, digest(snap.encode())) == (manifest, bits, snapshot)

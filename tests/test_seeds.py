@@ -122,6 +122,14 @@ def test_family_matches_raw_functions():
     assert xs.prefix([3], 8) == xi_prefix(KEY, [3], 8)
 
 
+@pytest.mark.parametrize("count", [0, 1, 52, 53, 54, 106, 107, 200])
+@pytest.mark.parametrize("base_stream", [0, 3])
+def test_family_prefix_spans_several_words(count, base_stream):
+    # the family reads one word per stream; xi_prefix reads bit by bit
+    got = XiFamily(KEY).prefix([4, 9], count, base_stream)
+    assert got == xi_prefix(KEY, [4, 9], count, base_stream)
+
+
 def test_family_remap_presents_relabeled_randomness():
     plain = XiFamily(KEY)
     remapped = XiFamily(KEY, remap={0: 5, 1: 0, 5: 1})
