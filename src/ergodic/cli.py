@@ -6,7 +6,7 @@ of each output file. Re-running the recorded argv reproduces the bytes;
 ``replay`` does exactly that and compares the hashes.
 
 Exit codes: 0 success / pass, 1 statistical test flagged, 2 exact
-invariant violated, 3 usage error.
+invariant violated, 3 usage error (a limit stage past its ceiling too).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .limits import (
     WEIGHT_PRESETS,
     LimitError,
     SeparationError,
+    StageCeilingError,
     build_limit,
     estimate_marginal,
     handle_from_manifest,
@@ -366,6 +367,8 @@ def _cmd_build_limit(args):
         raise UsageError(f"unknown --guide {args.guide!r}")
     try:
         handle = build_limit(args.stages, _seed(args), base_depth=args.base_depth)
+    except StageCeilingError:
+        raise
     except LimitError as exc:
         doc = {"kind": "build-limit-error", "error": str(exc)}
         return EXIT_VIOLATION, json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -581,7 +584,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         code, text = args.func(args)
-    except UsageError as exc:
+    except (UsageError, StageCeilingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -36,7 +36,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import repeat
 from math import lcm
 
 import numpy as np
@@ -69,9 +69,23 @@ STAR = -1  # reservoir marker in position/parent arrays
 # the probability of a false trip is 2**-256 per pair.
 _SEPARATION_CAP = 256
 
+_WORD = (1 << BITS_PER_STREAM) - 1  # the levels of one PRF word, shifted down
+_REVERSED_BYTE = np.array([int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint8)
+
+# Stage k holds 2^k - 1 elements. Deepening a build from stage 16 to 20
+# raised peak RSS by about 95 bytes per element (the guide's word planes
+# plus their transients), so stage 22 needs about 0.4 GB and the next
+# stage twice that. Depth-20 snapshots read at stage 20, or a level or
+# two deeper when points collide.
+MAX_STAGE = 22
+
 
 class LimitError(ValueError):
     pass
+
+
+class StageCeilingError(LimitError):
+    """A stage past MAX_STAGE was asked for; nothing was allocated."""
 
 
 class SeparationError(LimitError):
@@ -321,7 +335,9 @@ class KaleidoscopePredicateGuide:
     whenever decided), and `forced[k]` is the (mask, bits) preset on
     stage k's new element when no existing element met its demand.
     Every other bit is the handle's own, from one keyed PRF word per 53
-    levels. Relation queries evaluate the node formulas structurally
+    levels. Each word is decided on first read, for a whole array of
+    handles at once (`words`), and held in one plane per word index.
+    Relation queries evaluate the node formulas structurally
     over bits; the scheme node and equality are answered from handle
     identity, and quantified nodes are constants. Those
     identity/constant answers are sound for every finite query set: no
@@ -334,43 +350,63 @@ class KaleidoscopePredicateGuide:
         self._bitkey = key.child("guide-bits")
         self.routed: list[int] = []  # per stage j: levels copies born at j+1 share
         self.forced: dict[int, tuple[int, int]] = {}  # stage -> new element's preset
-        # per handle: decided levels as bits, above a marker bit at the first
-        # undecided level; always a whole number of PRF words
-        self._levels: dict[int, int] = {}
+        # word planes: _planes[w][u] holds handle u's levels 53w .. 53w+52
+        # (bit n is level 53w+n), decided where _decided[w][u]
+        self._planes: list[np.ndarray] = []
+        self._decided: list[np.ndarray] = []
         self._env_cache: dict[int, tuple[str, ...]] = {}
 
     # -- bits ----------------------------------------------------------------
 
     def bit(self, handle: int, level: int) -> int:
-        got = self._levels.get(handle, 1)
-        if got.bit_length() <= level + 1:
-            got = self._decide(handle, level // BITS_PER_STREAM)
-        return (got >> level) & 1
+        return (self.word(handle, level // BITS_PER_STREAM) >> level % BITS_PER_STREAM) & 1
 
-    def _decide(self, handle: int, word: int) -> int:
-        """Decide the handle's levels through PRF word `word`."""
-        got = self._levels.get(handle, 1)
-        done = got.bit_length() - 1  # levels decided so far
-        end = (word + 1) * BITS_PER_STREAM
-        k = (handle + 1).bit_length()
-        if k > len(self.routed):
-            raise GuideError(f"handle {handle} is born at stage {k}, which is not built")
-        own = 0
-        for w in range(done // BITS_PER_STREAM, word + 1):
-            mantissa = xi_raw(self._bitkey, (handle,), w) >> 11
-            # the expansion's first bit is the mantissa's top bit: reverse
-            # the word so that bit n of `own` is level n
-            own |= int(f"{mantissa:053b}"[::-1], 2) << (w * BITS_PER_STREAM)
-        if handle + 2 == 1 << k:
-            mask, preset = self.forced.get(k, (0, 0))
-        else:
-            origin = handle + 1 - (1 << (k - 1))
-            self.bit(origin, end - 1)  # decide the origin through the same word
-            mask, preset = self.routed[k - 1], self._levels[origin]
-        own = (own & ~mask) | (preset & mask)
-        got = (got ^ (1 << done)) | (own & ((1 << end) - (1 << done))) | (1 << end)
-        self._levels[handle] = got
-        return got
+    def word(self, handle: int, w: int) -> int:
+        """Levels 53w .. 53w+52 of one handle: bit n is level 53w+n."""
+        if w < len(self._planes) and 0 <= handle < len(self._planes[w]) and self._decided[w][handle]:
+            return int(self._planes[w][handle])
+        return int(self.words(np.array([handle]), w)[0])
+
+    def words(self, handles: np.ndarray, w: int) -> np.ndarray:
+        """PRF word w of every handle, as levels (see `word`), deciding it as needed."""
+        unbuilt = (handles < 0) | (np.frexp(handles + 1)[1] > len(self.routed))
+        if unbuilt.any():
+            raise GuideError(f"handle {handles[np.argmax(unbuilt)]} is not in a built stage")
+        while len(self._planes) <= w:
+            self._planes.append(np.zeros(0, dtype=np.uint64))
+            self._decided.append(np.zeros(0, dtype=bool))
+        grow = (1 << len(self.routed)) - 1 - len(self._planes[w])  # cover the built stages
+        if grow > 0:
+            self._planes[w] = np.concatenate([self._planes[w], np.zeros(grow, dtype=np.uint64)])
+            self._decided[w] = np.concatenate([self._decided[w], np.zeros(grow, dtype=bool)])
+        todo = np.unique(handles[~self._decided[w][handles]])
+        if len(todo):
+            self._decide(todo, w)
+        return self._planes[w][handles]
+
+    def _decide(self, handles: np.ndarray, w: int) -> None:
+        """Decide PRF word w of the given distinct, undecided handles."""
+        raw = np.array([xi_raw(self._bitkey, (u,), w) for u in handles.tolist()], dtype=np.uint64)
+        # level n is the expansion's bit n, the raw word's bit 63-n: reverse
+        # the 64 bits (bytes in reverse order, each byte's bits reversed)
+        raw = _REVERSED_BYTE[raw.astype(">u8").view(np.uint8).reshape(-1, 8)[:, ::-1]]
+        own = raw.view(">u8").ravel().astype(np.uint64) & _WORD
+        shift = w * BITS_PER_STREAM
+        born = np.frexp(handles + 1)[1]
+        for k in np.unique(born).tolist():
+            at = born == k
+            if k > 1:  # copies take the routed levels from their origins
+                mask = (self.routed[k - 1] >> shift) & _WORD
+                copies = at & (handles + 2 != 1 << k)
+                if mask and copies.any():
+                    origin = self.words(handles[copies] + 1 - (1 << (k - 1)), w)
+                    own[copies] = (own[copies] & ~np.uint64(mask)) | (origin & np.uint64(mask))
+            if k in self.forced:  # the new element's preset, if it has one
+                mask, bits = ((v >> shift) & _WORD for v in self.forced[k])
+                fresh = at & (handles + 2 == 1 << k)
+                own[fresh] = (own[fresh] & ~np.uint64(mask)) | np.uint64(bits & mask)
+        self._planes[w][handles] = own
+        self._decided[w][handles] = True
 
     # -- relations -----------------------------------------------------------
 
@@ -414,14 +450,29 @@ class KaleidoscopePredicateGuide:
 
     # -- separation ------------------------------------------------------------
 
-    def separating_level(self, a: int, b: int, start: int = 0) -> int:
-        """First level >= start where the two bit sequences differ."""
-        if a == b:
+    def separating_levels(self, a: np.ndarray, b: np.ndarray, start: int = 0) -> np.ndarray:
+        """First level >= start where a[i] and b[i] differ, for every i.
+
+        The pairs are decided one PRF word at a time, from the word
+        holding `start` to the word holding each answer.
+        """
+        if (a == b).any():
             raise GuideError("identical handles never separate")
-        for n in range(start, start + _SEPARATION_CAP):
-            if self.bit(a, n) != self.bit(b, n):
-                return n
-        raise GuideError(f"handles {a} and {b} agree on {_SEPARATION_CAP} levels")
+        stop = start + _SEPARATION_CAP
+        out = np.full(len(a), stop, dtype=np.int64)
+        todo = np.arange(len(a))
+        w, skip = divmod(start, BITS_PER_STREAM)
+        while len(todo) and w * BITS_PER_STREAM < stop:
+            diff = (self.words(a[todo], w) ^ self.words(b[todo], w)) >> np.uint64(skip)
+            hit = diff != 0
+            low = diff[hit] & (~diff[hit] + np.uint64(1))
+            out[todo[hit]] = w * BITS_PER_STREAM + skip + np.bitwise_count(low - np.uint64(1))
+            todo = todo[~hit]
+            w, skip = w + 1, 0
+        if (out >= stop).any():
+            i = int(np.argmax(out >= stop))
+            raise GuideError(f"handles {a[i]} and {b[i]} agree on {_SEPARATION_CAP} levels")
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +581,8 @@ def _witness_requirement(theory: BuildTheory, axiom: Axiom) -> tuple[int, int] |
 
 
 def _matches(guide: KaleidoscopePredicateGuide, uid: int, mask: int, bits: int) -> bool:
-    n = 0
-    while mask >> n:
-        if (mask >> n) & 1 and guide.bit(uid, n) != (bits >> n) & 1:
-            return False
-        n += 1
-    return True
+    return all(guide.bit(uid, n) == (bits >> n) & 1
+               for n in range(mask.bit_length()) if (mask >> n) & 1)
 
 
 def advance_stage(stage: Stage, guide: KaleidoscopePredicateGuide,
@@ -581,26 +628,15 @@ def advance_stage(stage: Stage, guide: KaleidoscopePredicateGuide,
     admit(entry.symbol)
     admit(theory.sc_symbol)
 
-    pair_start = stage.inherit_levels.bit_length()
-    for orig in range(m):
-        level = guide.separating_level(orig, orig + m, start=pair_start)
+    origins = np.arange(m)
+    pairs = guide.separating_levels(origins, origins + m, start=stage.inherit_levels.bit_length())
+    # the new element against everyone: peeling the prefix bucket of
+    # elements that agree with it until it stands alone admits exactly
+    # the level where each element first departs from it
+    departures = guide.separating_levels(np.arange(fresh), np.full(fresh, fresh))
+    for level in np.union1d(pairs, departures).tolist():
         admit(theory.pred_symbol(level))
         admit(theory.iff_symbol(level))
-
-    # the new element against everyone: peel a prefix bucket until it
-    # stands alone, admitting the level at which each batch departs
-    bucket = list(range(fresh))
-    level = 0
-    while bucket:
-        want = guide.bit(fresh, level)
-        stay = [u for u in bucket if guide.bit(u, level) == want]
-        if len(stay) < len(bucket):
-            admit(theory.pred_symbol(level))
-            admit(theory.iff_symbol(level))
-        bucket = stay
-        level += 1
-        if level > _SEPARATION_CAP + stage.index:
-            raise GuideError("new element failed to separate from the stage")
 
     inherit = 0
     for sym in lang:
@@ -629,7 +665,7 @@ class StageReport:
     pushforward_ok: bool
     pushforward_witness: int | None
     type_preservation_ok: bool
-    type_witness: tuple | None
+    type_witness: tuple[int, tuple[int, int]] | None  # (level, (origin, copy))
     strong_witness_ok: bool
 
     @property
@@ -656,68 +692,19 @@ class StageReport:
         }
 
 
-def _bit_vector(guide: KaleidoscopePredicateGuide, size: int, level: int) -> np.ndarray:
-    return np.fromiter((guide.bit(u, level) for u in range(size)), dtype=bool, count=size)
-
-
-def _fact_array(guide: KaleidoscopePredicateGuide, theory: BuildTheory,
-                sym: int, size: int):
-    """Relation table over the elements 0 .. size-1, vectorized per symbol class.
-
-    Returns a vector (arity 1) or a matrix (arity 2) matching guide.fact
-    pointwise.
-    """
-    kind, n = theory.classify(sym)
-    if kind == "pred":
-        return _bit_vector(guide, size, n)
-    if kind == "riff":
-        v = _bit_vector(guide, size, n)
-        return v[:, None] == v[None, :]
-    node = theory.result.nodes[n]
-    arity = node.arity
-    var_axis = {v: i for i, v in enumerate(canonical_vars(node.formula))}
-
-    def rec(phi: Fragment):
-        if isinstance(phi, FAtom):
-            level = int(phi.rel.resolved()[1:])
-            v = _bit_vector(guide, size, level)
-            if arity <= 1:
-                return v
-            return v[:, None] if var_axis[phi.args[0]] == 0 else v[None, :]
-        if isinstance(phi, FEq):
-            return np.eye(size, dtype=bool)
-        if isinstance(phi, FSchemeAnd):
-            return np.eye(size, dtype=bool)
-        if isinstance(phi, FNot):
-            return ~rec(phi.sub)
-        if isinstance(phi, FAnd):
-            out = rec(phi.subs[0])
-            for s in phi.subs[1:]:
-                out = out & rec(s)
-            return out
-        if isinstance(phi, FOr):
-            out = rec(phi.subs[0])
-            for s in phi.subs[1:]:
-                out = out | rec(s)
-            return out
-        if isinstance(phi, (FForall, FExists)):
-            return np.ones((size,) * arity, dtype=bool)
-        raise GuideError(f"cannot tabulate {phi!r}")
-
-    return np.broadcast_to(rec(node.formula), (size,) * arity)
-
-
 def stage_invariants(prev: Stage, nxt: Stage,
                      guide: KaleidoscopePredicateGuide) -> StageReport:
     """Exact audit of one advancement.
 
     Pushforward: each previous element's mass equals the sum over its
     fiber; the reservoir's mass equals the reservoir plus all new
-    elements. Type preservation: over the previous language, every
-    relation answer on carried/copied elements matches the projected
+    elements. Type preservation: every copy agrees with its origin on
+    every level that a symbol of the previous language reads. That makes
+    every relation answer on carried/copied elements match the projected
     tuple, for every argument tuple whose distinct entries project
     injectively (pairs mixing an element with its own copy project
-    non-injectively and are exempt). Both checks are integer-exact.
+    non-injectively and are exempt), and it costs one comparison per
+    copy. Both checks are exact.
     """
     theory = guide.theory
     m = prev.size
@@ -739,32 +726,27 @@ def stage_invariants(prev: Stage, nxt: Stage,
             pushforward_ok = False
             pushforward_witness = STAR
 
-    # carried elements and their copies are 0 .. 2m-1; position p projects to p % m
-    parent = np.arange(2 * m) % m if m else np.zeros(0, dtype=int)
-    type_ok = True
+    # Every guided symbol is a function of the levels it reads plus
+    # handle identity, and identity answers agree on every tuple that
+    # projects injectively. So the copies keep every previous relation
+    # exactly when each copy agrees with its origin on the levels the
+    # previous language reads (carried elements are their own origins).
+    reads = 0
+    for sym in prev.lang:
+        reads |= theory.bits_read(sym)
     type_witness = None
-    for sym in sorted(prev.lang):
-        arity = theory.language.materialize(sym + 1).arity(sym)
-        if arity == 0 or m == 0:
-            # nothing to compare: a sentence's answer does not depend on
-            # the stage, and an empty stage has no tuples
+    origins = np.arange(m)
+    for w in range(-(-reads.bit_length() // BITS_PER_STREAM)):
+        mask = (reads >> (w * BITS_PER_STREAM)) & _WORD
+        if not mask:
             continue
-        new_tab = _fact_array(guide, theory, sym, 2 * m)
-        old_tab = _fact_array(guide, theory, sym, m)
-        if arity == 1:
-            bad = new_tab != old_tab[parent]
-            if bad.any():
-                pos = int(np.argmax(bad))
-                type_ok, type_witness = False, (sym, (pos,))
-                break
-        else:  # the guided language is binary at most
-            eligible = parent[:, None] != parent[None, :]
-            np.fill_diagonal(eligible, True)
-            bad = (new_tab != old_tab[np.ix_(parent, parent)]) & eligible
-            if bad.any():
-                p, q = np.unravel_index(int(np.argmax(bad)), bad.shape)
-                type_ok, type_witness = False, (sym, (int(p), int(q)))
-                break
+        diff = (guide.words(origins, w) ^ guide.words(origins + m, w)) & np.uint64(mask)
+        if diff.any():
+            i = int(np.argmax(diff != 0))
+            level = w * BITS_PER_STREAM + (int(diff[i]) & -int(diff[i])).bit_length() - 1
+            type_witness = (level, (i, m + i))
+            break
+    type_ok = type_witness is None
 
     # the scheduled demand must be met inside the stage by an element of
     # positive mass (an extension pattern by a matching element, an
@@ -829,6 +811,11 @@ class LimitHandle:
         return self.stages[k]
 
     def advance_to(self, k: int, check: bool = False) -> None:
+        if k > MAX_STAGE:
+            raise StageCeilingError(
+                f"stage {k} is past the ceiling of {MAX_STAGE} stages"
+                f" ({2**MAX_STAGE - 1} elements)"
+            )
         while len(self.stages) <= k:
             idx = len(self.stages) - 1
             entry = schedule_entry(idx, self.theory)
@@ -885,6 +872,8 @@ class PathPoint:
         self.positions: list[int] = [STAR]
 
     def extend_to(self, depth: int) -> None:
+        if len(self.positions) <= depth:
+            self.handle.advance_to(depth)  # past the ceiling, refuse before building
         while len(self.positions) <= depth:
             k_child = len(self.positions)
             positions, nums, _den = self.handle.fiber(k_child, self.positions[-1])
@@ -910,6 +899,60 @@ def sample_point(handle: LimitHandle, depth: int, seed: SeedKey) -> PathPoint:
     point = PathPoint(handle, seed)
     point.extend_to(depth)
     return point
+
+
+def _bit_vector(guide: KaleidoscopePredicateGuide, uids: Sequence[int],
+                level: int) -> np.ndarray:
+    w, n = divmod(level, BITS_PER_STREAM)
+    return (guide.words(np.asarray(uids, dtype=np.int64), w) >> np.uint64(n)) & np.uint64(1) == 1
+
+
+def _fact_array(guide: KaleidoscopePredicateGuide, theory: BuildTheory,
+                sym: int, uids: Sequence[int]):
+    """Relation table over the handles `uids`, vectorized per symbol class.
+
+    Returns a scalar (arity 0), a vector (arity 1) or a matrix (arity 2)
+    whose entry at positions (i, j) is guide.fact(sym, (uids[i], uids[j])).
+    """
+    kind, n = theory.classify(sym)
+    if kind == "pred":
+        return _bit_vector(guide, uids, n)
+    if kind == "riff":
+        v = _bit_vector(guide, uids, n)
+        return v[:, None] == v[None, :]
+    node = theory.result.nodes[n]
+    arity = node.arity
+    var_axis = {v: i for i, v in enumerate(canonical_vars(node.formula))}
+    size = len(uids)
+    handles = np.asarray(uids)
+
+    def rec(phi: Fragment):
+        if isinstance(phi, FAtom):
+            level = int(phi.rel.resolved()[1:])
+            v = _bit_vector(guide, uids, level)
+            if arity <= 1:
+                return v
+            return v[:, None] if var_axis[phi.args[0]] == 0 else v[None, :]
+        if isinstance(phi, (FEq, FSchemeAnd)):
+            # the guide answers both from handle identity
+            return handles[:, None] == handles[None, :]
+        if isinstance(phi, FNot):
+            return ~rec(phi.sub)
+        if isinstance(phi, FAnd):
+            out = rec(phi.subs[0])
+            for s in phi.subs[1:]:
+                out = out & rec(s)
+            return out
+        if isinstance(phi, FOr):
+            out = rec(phi.subs[0])
+            for s in phi.subs[1:]:
+                out = out | rec(s)
+            return out
+        if isinstance(phi, (FForall, FExists)):
+            return np.ones((size,) * arity, dtype=bool)
+        raise GuideError(f"cannot tabulate {phi!r}")
+
+    return np.broadcast_to(rec(node.formula), (size,) * arity)
 
 
 @dataclass
@@ -968,10 +1011,8 @@ def sample_structure(handle: LimitHandle, m: int, depth: int, seed: SeedKey,
     uids = tuple(pt.position(level) for pt in points)
     facts = set()
     for local, sym in enumerate(lang_ids):
-        arity = signature.arity(local)
-        for args in product(range(m), repeat=arity):
-            if handle.guide.fact(sym, tuple(uids[a] for a in args)):
-                facts.add((local, args))
+        table = _fact_array(handle.guide, theory, sym, uids)
+        facts.update(zip(repeat(local), map(tuple, np.argwhere(table).tolist())))
     structure = FiniteStructure(signature, m, frozenset(facts))
     return LimitSample(
         structure=structure,
@@ -1176,7 +1217,7 @@ def _level_partition(handle: LimitHandle, stage: int,
                      level: int) -> tuple[Stage, tuple[int, ...], tuple[str, ...]]:
     """Stage, cell per element (0 where the level's bit is set, else 1), labels."""
     st = handle.stage(stage)
-    assignment = tuple(1 - handle.guide.bit(u, level) for u in range(st.size))
+    assignment = tuple(np.where(_bit_vector(handle.guide, st.uids, level), 0, 1).tolist())
     if len(set(assignment)) < 2:
         raise LimitError(f"level {level} does not split stage {stage}")
     return st, assignment, (f"P{level}-true", f"P{level}-false", "reservoir")

@@ -104,10 +104,24 @@ def _value_payload(subset: Iterable[int], stream: int) -> bytes:
     return _TAG_VALUE + encoded + int(stream).to_bytes(8, "big")
 
 
+@lru_cache(maxsize=1 << 10)
+def _keyed_hasher(master: int):
+    """Keyed blake2b state for one master key; callers copy it, never update it."""
+    return hashlib.blake2b(digest_size=8, key=master.to_bytes(16, "big"))
+
+
+_SINGLETON = _TAG_VALUE + (1).to_bytes(4, "big")
+
+
 def xi_raw(key: SeedKey, subset: Iterable[int], stream: int = 0) -> int:
     """64-bit PRF output addressed by (key, subset, stream)."""
-    payload = _value_payload(subset, stream)
-    digest = hashlib.blake2b(payload, digest_size=8, key=key._key_bytes())
+    if type(subset) is tuple and len(subset) == 1 and type(subset[0]) is int and subset[0] >= 0:
+        # the canonical encoding of a one-element set, without sorting it
+        payload = _SINGLETON + subset[0].to_bytes(8, "big") + int(stream).to_bytes(8, "big")
+    else:
+        payload = _value_payload(subset, stream)
+    digest = _keyed_hasher(key.master).copy()
+    digest.update(payload)
     return int.from_bytes(digest.digest(), "big")
 
 

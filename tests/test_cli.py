@@ -86,6 +86,7 @@ def test_estimate_csv_to_file(capsys):
         ["postypes", "--sampler", "maxgraph:d=3", "--arity", "-2"],
         ["build-limit", "--stages", "0"],
         ["build-limit", "--stages", "3", "--base-depth", "1"],
+        ["build-limit", "--stages", "40"],  # past the stage ceiling
         # --trials only on the subcommands that read it
         ["build-limit", "--stages", "3", "--trials", "7"],
         # formula arity differs from the symbol's
@@ -98,6 +99,21 @@ def test_usage_errors_exit_3(capsys, argv):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["limit-sample", "--manifest", "b3.json", "-n", "4", "--depth", "40"],
+        ["rescale", "--manifest", "b3.json", "--preset", "p0-heavy", "--depth", "40"],
+    ],
+)
+def test_depth_past_the_stage_ceiling_exits_3(capsys, argv):
+    run(capsys, ["build-limit", "--stages", "3", "--out", "b3.json", *SEED_ARGS])
+    code = main([*argv, *SEED_ARGS])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "ceiling" in err and err.count("\n") == 1
 
 
 def test_collide_flags_bad_expectation(capsys):

@@ -4,17 +4,22 @@ import dataclasses
 import hashlib
 import json
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 
 from ergodic.limits import (
+    MAX_STAGE,
     STAR,
     GuideError,
     KaleidoscopePredicateGuide,
     LimitError,
     LimitHandle,
     SeparationError,
+    StageCeilingError,
     Weight,
+    _fact_array,
     build_limit,
     build_manifest,
     build_theory,
@@ -34,7 +39,7 @@ from ergodic.limits import (
     weight_identity,
     weight_preset,
 )
-from ergodic.seeds import SeedKey, xi_bit
+from ergodic.seeds import BITS_PER_STREAM, SeedKey, xi_bit
 
 SEED = SeedKey.from_hex("00112233445566778899aabbccddeeff")
 
@@ -140,6 +145,68 @@ def test_tampered_mass_is_caught(handle8):
     assert not (rep.mass_total_ok and rep.pushforward_ok)
 
 
+def full_table_type_preservation(prev, guide) -> bool:
+    """Reference audit: every relation of the previous language, tabulated.
+
+    Over the 2m carried and copied elements of the stage after `prev`,
+    each table must match the previous stage's at the projected tuple,
+    for every tuple whose distinct entries project injectively.
+    """
+    theory = guide.theory
+    m = prev.size
+    parent = np.arange(2 * m) % m
+    for sym in sorted(prev.lang):
+        arity = theory.language.materialize(sym + 1).arity(sym)
+        if arity == 0 or m == 0:
+            continue
+        new_tab = _fact_array(guide, theory, sym, range(2 * m))
+        old_tab = _fact_array(guide, theory, sym, range(m))
+        if arity == 1:
+            bad = new_tab != old_tab[parent]
+        else:
+            eligible = parent[:, None] != parent[None, :]
+            np.fill_diagonal(eligible, True)
+            bad = (new_tab != old_tab[np.ix_(parent, parent)]) & eligible
+        if bad.any():
+            return False
+    return True
+
+
+def flip_copy_level(handle, k: int, level: int, origin: int = 5) -> None:
+    """Flip one decided level of the copy of `origin` born at stage k."""
+    prev = handle.stages[k - 1]
+    assert (prev.inherit_levels >> level) & 1
+    copy = origin + prev.size
+    w, n = divmod(level, BITS_PER_STREAM)
+    handle.guide.word(copy, w)  # decide it first
+    handle.guide._planes[w][copy] ^= np.uint64(1 << n)
+    assert handle.guide.bit(copy, level) != handle.guide.bit(origin, level)
+
+
+def test_flipped_inherited_level_fails_type_preservation():
+    h = build_limit(8, SEED, check=False)
+    prev, nxt = h.stages[7], h.stages[8]
+    assert stage_invariants(prev, nxt, h.guide).type_preservation_ok
+    flip_copy_level(h, 8, level=0)
+    rep = stage_invariants(prev, nxt, h.guide)
+    assert not rep.type_preservation_ok and not rep.passed
+
+
+@pytest.mark.parametrize("seed", [SeedKey(1), SeedKey(7), SeedKey(0xDEE9)])
+def test_type_audit_agrees_with_the_full_tables(seed):
+    # the audit may be stricter than the tables, never looser; on these
+    # builds, intact and tampered, the two agree
+    h = build_limit(8, seed, check=False)
+    for k in range(1, 9):
+        prev, nxt = h.stages[k - 1], h.stages[k]
+        assert stage_invariants(prev, nxt, h.guide).type_preservation_ok
+        assert full_table_type_preservation(prev, h.guide)
+    flip_copy_level(h, 8, level=h.theory.base_depth - 1)
+    prev, nxt = h.stages[7], h.stages[8]
+    assert not full_table_type_preservation(prev, h.guide)
+    assert not stage_invariants(prev, nxt, h.guide).type_preservation_ok
+
+
 def test_some_element_serves_each_scheduled_demand(handle8):
     # the fresh element is only forced when nobody existing already matches,
     # so the guarantee is existential, exactly like the invariant report
@@ -232,6 +299,38 @@ def test_snapshot_read_past_its_depth_keeps_the_separating_symbols():
     assert type_omitted_in_sample(samp, handle.theory)
     fps = unary_fingerprints(samp)
     assert len(set(fps)) == len(fps) == 30
+
+
+def assert_facts_match_the_guide(samp, guide):
+    """Every tabulated fact, and every non-fact, equals a per-fact guide answer."""
+    struct = samp.structure
+    want = set()
+    for local, sym in enumerate(samp.symbol_ids):
+        arity = struct.signature.arity(local)
+        for args in product(range(struct.domain_size), repeat=arity):
+            if guide.fact(sym, tuple(samp.uids[a] for a in args)):
+                want.add((local, args))
+    assert struct.facts == want
+
+
+def test_snapshot_facts_match_a_per_fact_oracle(handle8):
+    samp = sample_structure(handle8, 8, 6, SEED.child("oracle"))
+    assert samp.read_level == 6
+    assert_facts_match_the_guide(samp, handle8.guide)
+    # the deepening input: a pair shares its stage-4 cell until level 13
+    handle = build_limit(4, SeedKey(0xDEE9))
+    samp = sample_structure(handle, 30, 4, SeedKey(0xDEEA))
+    assert samp.read_level == 13
+    assert_facts_match_the_guide(samp, handle.guide)
+
+
+def test_stages_past_the_ceiling_are_refused_before_building():
+    h = LimitHandle(SEED)
+    with pytest.raises(StageCeilingError):
+        h.advance_to(MAX_STAGE + 1)
+    with pytest.raises(StageCeilingError):
+        sample_point(h, MAX_STAGE + 1, SEED.child("deep"))
+    assert h.depth == 0 and not h.guide.routed
 
 
 def test_separation_gives_up_past_the_extra_budget():

@@ -1,5 +1,6 @@
 """Determinism and addressing properties of the keyed randomness layer."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -143,3 +144,28 @@ def test_family_trace_records_resolved_subsets():
     xs.value([2, 1])
     xs.bit([0], 3)
     assert trace == {frozenset({1, 2}), frozenset({0})}
+
+
+def _fresh_digest(key: SeedKey, elements, stream: int) -> int:
+    """xi_raw recomputed from scratch: a new keyed blake2b over the payload."""
+    xs = sorted(set(elements))
+    payload = b"\x00" + len(xs).to_bytes(4, "big")
+    payload += b"".join(x.to_bytes(8, "big") for x in xs) + stream.to_bytes(8, "big")
+    digest = hashlib.blake2b(payload, digest_size=8, key=key.master.to_bytes(16, "big"))
+    return int.from_bytes(digest.digest(), "big")
+
+
+def test_raw_words_equal_a_fresh_keyed_digest():
+    # two keys interleaved: a state cached for one key must never serve the other
+    keys = (KEY, KEY.child("other"))
+    subsets = [(0,), (7,), (1 << 40,), frozenset({3}), frozenset({2, 9, 4}), [5], [6, 1],
+               (8, 3), set(), (2, 2, 5)]
+    for stream in range(201):
+        for subset in subsets:
+            for key in keys:
+                assert xi_raw(key, subset, stream) == _fresh_digest(key, subset, stream)
+
+
+def test_singleton_tuples_reject_negative_elements():
+    with pytest.raises(ValueError):
+        xi_raw(KEY, (-3,))
