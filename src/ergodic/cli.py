@@ -427,6 +427,8 @@ def _cmd_rescale(args):
     try:
         weight = weight_preset(handle, args.preset, stage)
         scaled = rescale(handle, weight)
+    except StageCeilingError:
+        raise
     except LimitError as exc:
         rows = [{"error": str(exc)}]
         return EXIT_VIOLATION, _format_rows(rows, args.format)

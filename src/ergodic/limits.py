@@ -70,6 +70,7 @@ STAR = -1  # reservoir marker in position/parent arrays
 _SEPARATION_CAP = 256
 
 _WORD = (1 << BITS_PER_STREAM) - 1  # the levels of one PRF word, shifted down
+_DECIDED = np.uint64(1 << 63)  # marks a decided word in a plane; no level uses it
 _REVERSED_BYTE = np.array([int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint8)
 
 # Stage k holds 2^k - 1 elements. Deepening a build from stage 16 to 20
@@ -194,7 +195,9 @@ def _formula_bits(phi: Fragment) -> int:
     """Predicate levels read by structural evaluation of a node formula.
 
     Scheme, equality, and quantified nodes are evaluated from element
-    identity or held constant, so they read no bits at all.
+    identity or held constant, so they read no bits at all. Any other
+    fragment is refused: the type-preservation audit trusts this mask to
+    name every level a symbol reads.
     """
     if isinstance(phi, FAtom):
         return 1 << int(phi.rel.resolved()[1:])
@@ -205,7 +208,9 @@ def _formula_bits(phi: Fragment) -> int:
         for s in phi.subs:
             out |= _formula_bits(s)
         return out
-    return 0
+    if isinstance(phi, (FEq, FSchemeAnd, FForall, FExists)):
+        return 0
+    raise GuideError(f"no level mask for {phi!r}")
 
 
 def build_theory(base_depth: int = 4) -> BuildTheory:
@@ -351,9 +356,8 @@ class KaleidoscopePredicateGuide:
         self.routed: list[int] = []  # per stage j: levels copies born at j+1 share
         self.forced: dict[int, tuple[int, int]] = {}  # stage -> new element's preset
         # word planes: _planes[w][u] holds handle u's levels 53w .. 53w+52
-        # (bit n is level 53w+n), decided where _decided[w][u]
+        # (bit n is level 53w+n), plus _DECIDED once they are decided
         self._planes: list[np.ndarray] = []
-        self._decided: list[np.ndarray] = []
         self._env_cache: dict[int, tuple[str, ...]] = {}
 
     # -- bits ----------------------------------------------------------------
@@ -363,8 +367,10 @@ class KaleidoscopePredicateGuide:
 
     def word(self, handle: int, w: int) -> int:
         """Levels 53w .. 53w+52 of one handle: bit n is level 53w+n."""
-        if w < len(self._planes) and 0 <= handle < len(self._planes[w]) and self._decided[w][handle]:
-            return int(self._planes[w][handle])
+        if w < len(self._planes) and 0 <= handle < len(self._planes[w]):
+            own = int(self._planes[w][handle])
+            if own >> 63:
+                return own & _WORD
         return int(self.words(np.array([handle]), w)[0])
 
     def words(self, handles: np.ndarray, w: int) -> np.ndarray:
@@ -374,15 +380,13 @@ class KaleidoscopePredicateGuide:
             raise GuideError(f"handle {handles[np.argmax(unbuilt)]} is not in a built stage")
         while len(self._planes) <= w:
             self._planes.append(np.zeros(0, dtype=np.uint64))
-            self._decided.append(np.zeros(0, dtype=bool))
         grow = (1 << len(self.routed)) - 1 - len(self._planes[w])  # cover the built stages
         if grow > 0:
             self._planes[w] = np.concatenate([self._planes[w], np.zeros(grow, dtype=np.uint64)])
-            self._decided[w] = np.concatenate([self._decided[w], np.zeros(grow, dtype=bool)])
-        todo = np.unique(handles[~self._decided[w][handles]])
+        todo = np.unique(handles[self._planes[w][handles] < _DECIDED])
         if len(todo):
             self._decide(todo, w)
-        return self._planes[w][handles]
+        return self._planes[w][handles] & np.uint64(_WORD)
 
     def _decide(self, handles: np.ndarray, w: int) -> None:
         """Decide PRF word w of the given distinct, undecided handles."""
@@ -405,8 +409,7 @@ class KaleidoscopePredicateGuide:
                 mask, bits = ((v >> shift) & _WORD for v in self.forced[k])
                 fresh = at & (handles + 2 == 1 << k)
                 own[fresh] = (own[fresh] & ~np.uint64(mask)) | np.uint64(bits & mask)
-        self._planes[w][handles] = own
-        self._decided[w][handles] = True
+        self._planes[w][handles] = own | _DECIDED
 
     # -- relations -----------------------------------------------------------
 
@@ -466,7 +469,8 @@ class KaleidoscopePredicateGuide:
             diff = (self.words(a[todo], w) ^ self.words(b[todo], w)) >> np.uint64(skip)
             hit = diff != 0
             low = diff[hit] & (~diff[hit] + np.uint64(1))
-            out[todo[hit]] = w * BITS_PER_STREAM + skip + np.bitwise_count(low - np.uint64(1))
+            # low is a power of two below 2^53, exact as a float: frexp gives its bit index + 1
+            out[todo[hit]] = w * BITS_PER_STREAM + skip + np.frexp(low)[1] - 1
             todo = todo[~hit]
             w, skip = w + 1, 0
         if (out >= stop).any():
@@ -704,7 +708,9 @@ def stage_invariants(prev: Stage, nxt: Stage,
     tuple, for every argument tuple whose distinct entries project
     injectively (pairs mixing an element with its own copy project
     non-injectively and are exempt), and it costs one comparison per
-    copy. Both checks are exact.
+    copy. Both checks are exact. The type check rests on
+    `BuildTheory.bits_read` naming every level a symbol reads, which
+    `_formula_bits` guarantees by refusing any fragment it cannot mask.
     """
     theory = guide.theory
     m = prev.size

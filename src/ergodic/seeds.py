@@ -97,10 +97,16 @@ class SeedKey:
         return SeedKey(int.from_bytes(digest.digest(), "big"))
 
 
+_ONE = (1).to_bytes(4, "big")
+
+
 def _value_payload(subset: Iterable[int], stream: int) -> bytes:
-    encoded = (
-        _encode_frozenset(subset) if type(subset) is frozenset else _encode_set(subset)
-    )
+    if type(subset) is tuple and len(subset) == 1 and type(subset[0]) is int and subset[0] >= 0:
+        encoded = _ONE + subset[0].to_bytes(8, "big")  # one element: nothing to sort
+    elif type(subset) is frozenset:
+        encoded = _encode_frozenset(subset)
+    else:
+        encoded = _encode_set(subset)
     return _TAG_VALUE + encoded + int(stream).to_bytes(8, "big")
 
 
@@ -110,18 +116,10 @@ def _keyed_hasher(master: int):
     return hashlib.blake2b(digest_size=8, key=master.to_bytes(16, "big"))
 
 
-_SINGLETON = _TAG_VALUE + (1).to_bytes(4, "big")
-
-
 def xi_raw(key: SeedKey, subset: Iterable[int], stream: int = 0) -> int:
     """64-bit PRF output addressed by (key, subset, stream)."""
-    if type(subset) is tuple and len(subset) == 1 and type(subset[0]) is int and subset[0] >= 0:
-        # the canonical encoding of a one-element set, without sorting it
-        payload = _SINGLETON + subset[0].to_bytes(8, "big") + int(stream).to_bytes(8, "big")
-    else:
-        payload = _value_payload(subset, stream)
     digest = _keyed_hasher(key.master).copy()
-    digest.update(payload)
+    digest.update(_value_payload(subset, stream))
     return int.from_bytes(digest.digest(), "big")
 
 

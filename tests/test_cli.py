@@ -106,6 +106,7 @@ def test_usage_errors_exit_3(capsys, argv):
     [
         ["limit-sample", "--manifest", "b3.json", "-n", "4", "--depth", "40"],
         ["rescale", "--manifest", "b3.json", "--preset", "p0-heavy", "--depth", "40"],
+        ["rescale", "--manifest", "b3.json", "--preset", "p0-heavy", "--stage", "40"],
     ],
 )
 def test_depth_past_the_stage_ceiling_exits_3(capsys, argv):
