@@ -20,6 +20,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .engine import (
     coherence_check,
     dissociation_test,
@@ -47,9 +49,9 @@ from .limits import (
     unary_fingerprints,
     weight_preset,
 )
-from .logic import LogicError, Permutation, Signature
+from .logic import LogicError, Permutation, Signature, fingerprint_tables
 from .morley import MorleyError, _qf_from_tree, fragment_from_tree, morleyize, result_to_json
-from .seeds import SeedKey
+from .seeds import SeedKey, XiFamily
 from .sexpr import SexprError, parse_many, parse_sexpr
 from .stats import collision_stat, rootedness_check
 
@@ -99,6 +101,29 @@ def _format_rows(rows: list[dict], fmt: str) -> str:
     for row in rows:
         writer.writerow({k: _json_cell(v) for k, v in row.items()})
     return buf.getvalue()
+
+
+def _facts_text(signature: Signature, tables, fmt: str, more=()) -> str:
+    """One row per true entry of per-symbol fact tables, then the rows `more`.
+
+    Symbols come by index and each table's entries in C order, which is
+    the order of sorted(facts). A JSONL fact line has the bytes
+    json.dumps({"symbol": name, "args": args}, sort_keys=True) gives.
+    """
+    if fmt != "jsonl":
+        rows = [
+            {"symbol": signature.name(sym), "args": t}
+            for sym in sorted(tables)
+            for t in np.argwhere(tables[sym]).tolist()
+        ]
+        return _format_rows([*rows, *more], fmt)
+    out = []
+    for sym in sorted(tables):
+        tail = '], "symbol": ' + json.dumps(signature.name(sym)) + "}\n"
+        out.extend(
+            '{"args": [' + ", ".join(map(str, t)) + tail for t in np.argwhere(tables[sym]).tolist()
+        )
+    return "".join(out) + _format_rows(more, fmt)
 
 
 def _git_blob_hash(data: bytes) -> str:
@@ -172,12 +197,8 @@ def _stat_row(report, **extra) -> dict:
 
 def _cmd_sample(args):
     sampler = _sampler(args)
-    M = sample(sampler, args.n, _seed(args))
-    rows = [
-        {"symbol": M.signature.name(sym), "args": list(t)}
-        for sym, t in sorted(M.facts)
-    ]
-    return EXIT_OK, _format_rows(rows, args.format)
+    tables = fingerprint_tables(sampler.type_fn(args.n, XiFamily(_seed(args))))
+    return EXIT_OK, _facts_text(sampler.signature, tables, args.format)
 
 
 def _cmd_estimate(args):
@@ -395,11 +416,7 @@ def _cmd_limit_sample(args):
     except SeparationError as exc:
         rows = [{"error": str(exc), "pair": list(exc.pair)}]
         return EXIT_VIOLATION, _format_rows(rows, args.format)
-    M = samp.structure
-    rows = [
-        {"symbol": M.signature.name(sym), "args": list(t)}
-        for sym, t in sorted(M.facts)
-    ]
+    audits = []
     code = EXIT_OK
     if not args.no_audit:
         axioms = materialized_universal_axioms(handle.theory, samp.symbol_ids)
@@ -407,14 +424,15 @@ def _cmd_limit_sample(args):
         omitted = type_omitted_in_sample(samp, handle.theory)
         fps = unary_fingerprints(samp)
         distinct = len(set(fps)) == len(fps)
-        rows += [
+        audits = [
             {"audit": "universal-axioms", "checked": len(axioms), "passed": bad == 0},
             {"audit": "qtype-omitted", "passed": omitted},
             {"audit": "unary-types-distinct", "passed": distinct},
         ]
         if bad or not omitted or not distinct:
             code = EXIT_VIOLATION
-    return code, _format_rows(rows, args.format)
+    tables = dict(enumerate(samp.tables))
+    return code, _facts_text(samp.signature, tables, args.format, audits)
 
 
 def _cmd_rescale(args):
@@ -487,7 +505,8 @@ def build_parser() -> _Parser:
             p.add_argument("--trials", type=_int_at_least(1), default=1000)
         return p
 
-    p = add("sample", _cmd_sample, help="sample one finite structure")
+    p = add("sample", _cmd_sample,
+            help="sample one finite structure; one row per fact, in (symbol index, args) order")
     p.add_argument("--sampler", required=True)
     p.add_argument("-n", type=_int_at_least(0), required=True)
 

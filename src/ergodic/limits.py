@@ -36,12 +36,13 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import repeat
 from math import lcm
 
 import numpy as np
 
-from .logic import FiniteStructure, Rel, Signature, eval_qf, map_leaves, qf_leaves
+from .logic import And, Eq, FiniteStructure, LogicError, Not, Or, Rel, Signature, qf_leaves
 from .morley import (
     Axiom,
     FAnd,
@@ -963,11 +964,32 @@ def _fact_array(guide: KaleidoscopePredicateGuide, theory: BuildTheory,
 
 @dataclass
 class LimitSample:
-    structure: FiniteStructure
+    """A snapshot; `tables[i]` holds the facts of local symbol i as a bool table.
+
+    `structure` holds the same facts as a FiniteStructure. Pass None to
+    build it from the tables on first read.
+    """
+
+    signature: Signature
+    tables: tuple[np.ndarray, ...]
     symbol_ids: tuple[int, ...]
     uids: tuple[int, ...]
     depth: int
     read_level: int
+    structure: FiniteStructure | None
+
+    def __post_init__(self):
+        if self.structure is None:
+            del self.structure
+
+    def __getattr__(self, name: str):
+        # reached only while `structure` is unset
+        if name != "structure":
+            raise AttributeError(name)
+        self.structure = FiniteStructure.from_tables(
+            self.signature, len(self.uids), dict(enumerate(self.tables))
+        )
+        return self.structure
 
 
 def sample_structure(handle: LimitHandle, m: int, depth: int, seed: SeedKey,
@@ -1015,17 +1037,14 @@ def sample_structure(handle: LimitHandle, m: int, depth: int, seed: SeedKey,
     signature = Signature(tuple(sig_syms))
 
     uids = tuple(pt.position(level) for pt in points)
-    facts = set()
-    for local, sym in enumerate(lang_ids):
-        table = _fact_array(handle.guide, theory, sym, uids)
-        facts.update(zip(repeat(local), map(tuple, np.argwhere(table).tolist())))
-    structure = FiniteStructure(signature, m, frozenset(facts))
     return LimitSample(
-        structure=structure,
+        signature=signature,
+        tables=tuple(_fact_array(handle.guide, theory, sym, uids) for sym in lang_ids),
         symbol_ids=lang_ids,
         uids=uids,
         depth=depth,
         read_level=level,
+        structure=None,
     )
 
 
@@ -1045,21 +1064,41 @@ def materialized_universal_axioms(theory: BuildTheory,
 
 
 def snapshot_axiom_holds(sample: LimitSample, axiom: Axiom) -> bool:
-    mapping = {sym: i for i, sym in enumerate(sample.symbol_ids)}
-    matrix = map_leaves(
-        axiom.matrix, lambda f: Rel(mapping[f.sym], f.args) if isinstance(f, Rel) else f
-    )
-    n = sample.structure.domain_size
-    if axiom.prefix and n == 0:
+    """The axiom in the snapshot, evaluated on its fact tables.
+
+    The matrix becomes one bool array over all assignments, variable v
+    along axis v, each leaf a view of a table; then one all/any
+    reduction per quantifier, innermost first.
+    """
+    n = len(sample.uids)
+    width = len(axiom.prefix)
+    if width and n == 0:
         return True
+    local = {sym: i for i, sym in enumerate(sample.symbol_ids)}
 
-    def rec(pos: int, assignment: tuple[int, ...]) -> bool:
-        if pos == len(axiom.prefix):
-            return eval_qf(sample.structure, matrix, assignment)
-        pick = all if axiom.prefix[pos] == "A" else any
-        return pick(rec(pos + 1, assignment + (d,)) for d in range(n))
+    def axis(v: int) -> np.ndarray:
+        if v >= width:
+            raise LogicError("free variable unbound by assignment")
+        return np.arange(n).reshape([n if a == v else 1 for a in range(width)])
 
-    return rec(0, ())
+    def rec(f) -> np.ndarray:
+        if isinstance(f, Rel):
+            table = sample.tables[local[f.sym]]
+            if len(f.args) != table.ndim:
+                raise LogicError(f"arity mismatch for symbol {f.sym}")
+            return np.asarray(table[tuple(axis(v) for v in f.args)])
+        if isinstance(f, Eq):
+            return axis(f.left) == axis(f.right)
+        if isinstance(f, Not):
+            return ~rec(f.sub)
+        if isinstance(f, (And, Or)):
+            return reduce(np.logical_and if isinstance(f, And) else np.logical_or, map(rec, f.subs))
+        raise LogicError(f"not a quantifier-free formula: {f!r}")
+
+    truth = np.broadcast_to(rec(axiom.matrix), (n,) * width)
+    for q in reversed(axiom.prefix):
+        truth = truth.all(axis=-1) if q == "A" else truth.any(axis=-1)
+    return bool(truth)
 
 
 def scheduled_type_literals(theory: BuildTheory,
@@ -1090,26 +1129,18 @@ def type_omitted_in_sample(sample: LimitSample, theory: BuildTheory) -> bool:
         (position[sym], want)
         for sym, want in scheduled_type_literals(theory, sample.symbol_ids)
     ]
-    struct = sample.structure
-    n = struct.domain_size
-    for x in range(n):
-        for y in range(n):
-            if all(struct.holds(local, (x, y)) == want for local, want in literals):
-                return False
-    return True
+    n = len(sample.uids)
+    realized = np.ones((n, n), dtype=bool)
+    for local, want in literals:
+        realized &= sample.tables[local] == want
+    return not realized.any()
 
 
 def unary_fingerprints(sample: LimitSample) -> list[tuple[bool, ...]]:
     """Per-element truth vector over the materialized unary symbols."""
-    unary = [
-        i
-        for i in range(len(sample.symbol_ids))
-        if sample.structure.signature.arity(i) == 1
-    ]
-    return [
-        tuple(sample.structure.holds(i, (x,)) for i in unary)
-        for x in range(sample.structure.domain_size)
-    ]
+    unary = [table for table in sample.tables if table.ndim == 1]
+    n = len(sample.uids)
+    return [tuple(row) for row in np.array(unary, dtype=bool).reshape(len(unary), n).T.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
+
+import numpy as np
 
 
 class LogicError(ValueError):
@@ -105,8 +107,35 @@ class FiniteStructure:
             if any(not 0 <= a < self.domain_size for a in args):
                 raise LogicError(f"fact argument out of domain: {args}")
 
+    @classmethod
+    def from_tables(
+        cls, signature: Signature, domain_size: int, tables: dict[int, np.ndarray]
+    ) -> "FiniteStructure":
+        """Structure whose facts are the true entries of boolean tables.
+
+        `tables` maps a symbol index to its relation as a bool array of
+        shape (domain_size,) * arity, in C order. Checking each table's
+        dtype and shape against the signature rules out every unknown
+        symbol, wrong arity and out-of-domain argument at once, so the
+        facts skip the per-fact check that __post_init__ makes.
+        """
+        structure = cls(signature, domain_size, frozenset())
+        facts = []
+        for sym, table in tables.items():
+            if not 0 <= sym < len(signature):
+                raise LogicError(f"table for unknown symbol index {sym}")
+            shape = (domain_size,) * signature.arity(sym)
+            if not isinstance(table, np.ndarray) or table.dtype != bool or table.shape != shape:
+                raise LogicError(
+                    f"table for {signature.name(sym)} must be a bool array of shape {shape}"
+                )
+            facts.extend(zip(repeat(sym), map(tuple, np.argwhere(table).tolist())))
+        object.__setattr__(structure, "facts", frozenset(facts))
+        return structure
+
     def holds(self, sym: int, args: tuple[int, ...]) -> bool:
         return (sym, tuple(args)) in self.facts
+
 
 @dataclass(frozen=True)
 class Permutation:
@@ -209,17 +238,6 @@ def qf_leaves(phi: QfFormula) -> Iterator[Rel | Eq]:
             yield from qf_leaves(s)
     else:
         raise LogicError(f"not a quantifier-free formula: {phi!r}")
-
-
-def map_leaves(phi: QfFormula, leaf: Callable[[Rel | Eq], QfFormula]) -> QfFormula:
-    """phi with every atomic subformula f replaced by leaf(f)."""
-    if isinstance(phi, (Rel, Eq)):
-        return leaf(phi)
-    if isinstance(phi, Not):
-        return Not(map_leaves(phi.sub, leaf))
-    if isinstance(phi, (And, Or)):
-        return type(phi)(tuple(map_leaves(s, leaf) for s in phi.subs))
-    raise LogicError(f"not a quantifier-free formula: {phi!r}")
 
 
 def num_vars(phi: QfFormula) -> int:
@@ -477,6 +495,27 @@ def qf_fingerprint(
     return TypeFingerprint(len(tup), sublanguage, arities, bits)
 
 
+def fingerprint_tables(fp: TypeFingerprint) -> dict[int, np.ndarray]:
+    """Boolean fact table of each sublanguage symbol of a fingerprint.
+
+    A symbol of arity ar gets a bool array of shape (fp.arity,) * ar
+    whose entry at t is the atom on t: its bit block in C order (see
+    _layout). Keys are ambient symbol indices, in sublanguage order;
+    the tables are views of one unpacked bit array.
+    """
+    n = fp.arity
+    offsets, width = _layout(n, fp.arities)
+    atoms = fp.bits & ((1 << width) - 1)
+    flat = np.unpackbits(
+        np.frombuffer(atoms.to_bytes((width + 7) // 8, "little"), dtype=np.uint8),
+        count=width, bitorder="little",
+    ).view(bool)
+    return {
+        sym: flat[start:start + n**ar].reshape((n,) * ar)
+        for sym, ar, start in zip(fp.sublanguage, fp.arities, offsets)
+    }
+
+
 def structure_from_fingerprint(
     fp: TypeFingerprint, signature: Signature, domain_size: int
 ) -> FiniteStructure:
@@ -484,24 +523,7 @@ def structure_from_fingerprint(
 
     The fingerprint must describe the identity tuple (0..n-1) over a
     sublanguage of `signature`; its atom bits then enumerate every fact.
-    One pass over the bit string finds the set bits, row by row.
     """
     if fp.arity != domain_size:
         raise LogicError("fingerprint arity differs from domain size")
-    n = fp.arity
-    offsets, _ = _layout(n, fp.arities)
-    digits = format(fp.bits, "b")[::-1]  # digit k is bit k
-    facts = []
-    for sym, ar, start in zip(fp.sublanguage, fp.arities, offsets):
-        if ar == 0:
-            if fp.bits >> start & 1:
-                facts.append((sym, ()))
-            continue
-        # one row of n bits per choice of the first ar - 1 arguments
-        for row, head in enumerate(product(range(n), repeat=ar - 1)):
-            lo = start + row * n
-            k = digits.find("1", lo, lo + n)
-            while k >= 0:
-                facts.append((sym, (*head, k - lo)))
-                k = digits.find("1", k + 1, lo + n)
-    return FiniteStructure(signature, domain_size, frozenset(facts))
+    return FiniteStructure.from_tables(signature, domain_size, fingerprint_tables(fp))

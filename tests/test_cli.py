@@ -8,6 +8,10 @@ import pytest
 
 from ergodic import cli
 from ergodic.cli import main, replay
+from ergodic.engine import sample
+from ergodic.gallery import parse_sampler_spec
+from ergodic.logic import FiniteStructure, Signature, fingerprint_tables, qf_fingerprint
+from ergodic.seeds import SeedKey
 
 SEED_ARGS = ["--seed", "00112233445566778899aabbccddeeff"]
 
@@ -37,6 +41,32 @@ def test_sample_jsonl(capsys):
     assert rows
     assert all(set(r) == {"symbol", "args"} for r in rows)
     assert all(0 <= a < 5 for r in rows for a in r["args"])
+
+
+@pytest.mark.parametrize("spec", ["kaleidoscope:k=2,d=8", "kaleidoscope:k=3,d=8", "maxgraph:d=16",
+                                  "geometric:dim=2,norm=sup,p=0.5", "blowup:d=3", "digraph:d=3",
+                                  "bipartite:i=2,j=2", "mixture:p1=0.1,p2=0.9"])
+def test_sample_rows_come_in_sorted_fact_order(capsys, spec):
+    code, out = run(capsys, ["sample", "--sampler", spec, "-n", "8", *SEED_ARGS])
+    assert code == 0
+    M = sample(parse_sampler_spec(spec), 8, SeedKey.from_hex(SEED_ARGS[1]))
+    want = "".join(
+        json.dumps({"symbol": M.signature.name(sym), "args": list(t)}, sort_keys=True) + "\n"
+        for sym, t in sorted(M.facts)
+    )
+    assert out == want
+
+
+def test_fact_rows_cover_every_arity():
+    # a 0-ary symbol, and symbols of arity 1-3, on 4 points
+    sig = Signature((("Z", 0), ("P", 1), ("E", 2), ("T", 3)))
+    facts = {(0, ()), (1, (3,)), (2, (0, 3)), (2, (3, 0)), (3, (1, 0, 2)), (3, (3, 3, 3))}
+    M = FiniteStructure(sig, 4, frozenset(facts))
+    tables = fingerprint_tables(qf_fingerprint(M, tuple(range(4))))
+    rows = [{"symbol": sig.name(sym), "args": list(t)} for sym, t in sorted(M.facts)]
+    more = [{"audit": "x", "passed": True}]
+    for fmt in ("jsonl", "csv"):
+        assert cli._facts_text(sig, tables, fmt, more) == cli._format_rows(rows + more, fmt)
 
 
 def test_estimate_stdout_and_manifest(capsys):

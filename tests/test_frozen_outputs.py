@@ -53,6 +53,12 @@ CASES = [
     ("sample_mixture.jsonl", ["sample", "--sampler", "mixture:p1=0.1,p2=0.9", "-n", "8",
                               "--seed", SEED_A], 0,
      "b8f8ee0882bf65d641de0e2b09efe9b47d847f29"),
+    ("sample_ternary.jsonl", ["sample", "--sampler", "kaleidoscope:k=3,d=8", "-n", "12",
+                              "--seed", SEED_A], 0,
+     "d5593df800426692c9a098214d8ec16bfb4e0be2"),
+    ("sample_maxgraph.csv", ["sample", "--sampler", "maxgraph:d=4", "-n", "8",
+                             "--seed", SEED_A, "--format", "csv"], 0,
+     "0cdca39cff6447c48245b6bc94bca3e95074c00e"),
     # with only 16 prefixes some pair type is unrooted, so roots exits 2
     ("roots_maxgraph.jsonl", ["roots", "--sampler", "maxgraph:d=4", "-n", "8",
                               "--seed", SEED_A], 2,

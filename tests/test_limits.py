@@ -32,6 +32,7 @@ from ergodic.limits import (
     sample_point,
     sample_structure,
     schedule_entry,
+    scheduled_type_literals,
     snapshot_axiom_holds,
     stage_invariants,
     type_omitted_in_sample,
@@ -39,6 +40,8 @@ from ergodic.limits import (
     weight_identity,
     weight_preset,
 )
+from ergodic.logic import And, Eq, FiniteStructure, Not, Or, Rel, eval_qf, implies
+from ergodic.morley import Axiom
 from ergodic.seeds import BITS_PER_STREAM, SeedKey, xi_bit
 
 SEED = SeedKey.from_hex("00112233445566778899aabbccddeeff")
@@ -287,6 +290,19 @@ def test_sample_structure_is_deterministic(handle8):
     assert a.uids == b.uids
 
 
+def test_snapshot_structure_is_built_from_its_tables_on_first_read(handle8):
+    samp = sample_structure(handle8, 5, 5, SEED.child("lazy"))
+    assert "structure" not in vars(samp)
+    struct = samp.structure
+    assert struct is samp.structure
+    assert struct.signature == samp.signature and struct.domain_size == 5
+    assert struct.facts == {
+        (local, tuple(t)) for local, table in enumerate(samp.tables) for t in zip(*table.nonzero())
+    }
+    given = FiniteStructure(samp.signature, 5, frozenset())
+    assert dataclasses.replace(samp, structure=given).structure is given
+
+
 def test_snapshot_read_past_its_depth_keeps_the_separating_symbols():
     # 30 points cannot fit in the 15 cells of stage 4, so the snapshot reads
     # deeper; over the stage-4 language a collided pair would look alike
@@ -457,6 +473,120 @@ def test_forced_witness_keeps_its_preset_bits(theory):
     assert [g for lv, g in enumerate(got) if not (mask >> lv) & 1] == [
         o for lv, o in enumerate(own) if not (mask >> lv) & 1
     ]
+
+
+def recursive_axiom_holds(samp, axiom, language) -> bool:
+    """The axiom by recursion over all n^|prefix| assignments, eval_qf per leaf.
+
+    The snapshot's facts are put back on their ambient symbol indices, so
+    the matrix is evaluated as the theory wrote it.
+    """
+    ambient = FiniteStructure(
+        language.materialize(max(samp.symbol_ids) + 1),
+        samp.structure.domain_size,
+        frozenset((samp.symbol_ids[local], t) for local, t in samp.structure.facts),
+    )
+    n = ambient.domain_size
+    if axiom.prefix and n == 0:
+        return True
+
+    def rec(pos, assignment):
+        if pos == len(axiom.prefix):
+            return eval_qf(ambient, axiom.matrix, assignment)
+        pick = all if axiom.prefix[pos] == "A" else any
+        return pick(rec(pos + 1, assignment + (d,)) for d in range(n))
+
+    return rec(0, ())
+
+
+def per_fact_type_omitted(samp, theory) -> bool:
+    position = {sym: i for i, sym in enumerate(samp.symbol_ids)}
+    if theory.sc_symbol not in position:
+        return True
+    literals = [(position[s], want) for s, want in scheduled_type_literals(theory, samp.symbol_ids)]
+    n = samp.structure.domain_size
+    return not any(
+        all(samp.structure.holds(local, (x, y)) == want for local, want in literals)
+        for x in range(n) for y in range(n)
+    )
+
+
+def per_fact_unary_prints(samp):
+    sig = samp.structure.signature
+    unary = [i for i in range(len(sig)) if sig.arity(i) == 1]
+    return [tuple(samp.structure.holds(i, (x,)) for i in unary)
+            for x in range(samp.structure.domain_size)]
+
+
+def with_tables(samp, tables):
+    """The snapshot with other fact tables; its structure is rebuilt from them."""
+    return dataclasses.replace(samp, tables=tuple(tables), structure=None)
+
+
+def assert_audits_match_the_oracles(samp, theory):
+    axioms = materialized_universal_axioms(theory, samp.symbol_ids)
+    got = [snapshot_axiom_holds(samp, ax) for ax in axioms]
+    assert all(type(ok) is bool for ok in got)
+    assert got == [recursive_axiom_holds(samp, ax, theory.language) for ax in axioms]
+    omitted = type_omitted_in_sample(samp, theory)
+    assert type(omitted) is bool and omitted == per_fact_type_omitted(samp, theory)
+    assert unary_fingerprints(samp) == per_fact_unary_prints(samp)
+    return got, omitted
+
+
+def probe_axioms(samp) -> list[Axiom]:
+    """Made-up axioms on the first binary symbol: equalities, repeated variables, E."""
+    r = next(sym for sym, t in zip(samp.symbol_ids, samp.tables) if t.ndim == 2)
+    p = next(sym for sym, t in zip(samp.symbol_ids, samp.tables) if t.ndim == 1)
+    return [
+        Axiom(prefix, matrix, 0, None, "probe")
+        for prefix, matrix in [
+            ("AA", implies(Eq(0, 1), Rel(r, (0, 1)))),
+            ("AA", implies(Rel(r, (0, 1)), Eq(1, 0))),
+            ("AE", And((Not(Eq(0, 1)), Rel(r, (0, 1))))),
+            ("AA", Or((Rel(r, (1, 1)), Eq(1, 0)))),
+            ("EA", Or((Rel(p, (0,)), Not(Rel(r, (1, 0)))))),
+            ("AAE", And((Rel(r, (0, 2)), Rel(r, (2, 1)), Not(Eq(2, 0))))),
+            ("A", Rel(p, (0,))),
+        ]
+    ]
+
+
+def test_snapshot_audits_match_per_fact_oracles():
+    handle = build_limit(8, SEED.child("audits"), check=False)
+    probed = set()
+    for t in range(20):
+        samp = sample_structure(handle, 16, 8, SEED.child("audits", t))
+        got, omitted = assert_audits_match_the_oracles(samp, handle.theory)
+        assert got and all(got) and omitted
+        for ax in probe_axioms(samp) if t % 4 == 0 else ():
+            ok = snapshot_axiom_holds(samp, ax)
+            assert ok == recursive_axiom_holds(samp, ax, handle.theory.language)
+            probed.add((ax.matrix, ok))
+    assert {ok for _, ok in probed} == {True, False}
+
+    # a flipped diagonal fact of the first binary symbol breaks an axiom
+    local = next(i for i, t in enumerate(samp.tables) if t.ndim == 2)
+    flipped = np.array(samp.tables[local])
+    flipped[0, 0] = not flipped[0, 0]
+    bad = with_tables(samp, samp.tables[:local] + (flipped,) + samp.tables[local + 1:])
+    got, _ = assert_audits_match_the_oracles(bad, handle.theory)
+    assert not all(got)
+
+    # points 0 and 1 made to realize every literal of the omitted type
+    tables = [np.array(t) for t in samp.tables]
+    position = {sym: i for i, sym in enumerate(samp.symbol_ids)}
+    for sym, want in scheduled_type_literals(handle.theory, samp.symbol_ids):
+        tables[position[sym]][0, 1] = want
+    # and point 1 made to copy point 0's unary print
+    for t in tables:
+        if t.ndim == 1:
+            t[1] = t[0]
+    bad = with_tables(samp, tables)
+    _, omitted = assert_audits_match_the_oracles(bad, handle.theory)
+    assert not omitted
+    prints = unary_fingerprints(bad)
+    assert prints[0] == prints[1]
 
 
 # Frozen sha256 prefixes of stage-11 builds: the manifest, guide bits of

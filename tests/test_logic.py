@@ -3,8 +3,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from ergodic.gallery import parse_sampler_spec
 from ergodic.logic import (
     And,
     Eq,
@@ -15,13 +17,16 @@ from ergodic.logic import (
     Permutation,
     Rel,
     Signature,
+    _layout,
     eval_qf,
+    fingerprint_tables,
     generated_signature,
     num_vars,
     pack_atoms,
     qf_fingerprint,
     structure_from_fingerprint,
 )
+from ergodic.seeds import SeedKey, XiFamily
 
 SIG = Signature((("P", 1), ("E", 2)))
 
@@ -258,3 +263,105 @@ def test_reindexed_rejects_out_of_range_coordinates():
     fp = qf_fingerprint(M, (0, 1))
     with pytest.raises(LogicError):
         fp.reindexed((0, 2))
+
+
+def digit_scan_facts(fp):
+    """Facts of a full-tuple fingerprint, found by scanning its bit string.
+
+    The decoder the table path replaced, kept as an independent oracle:
+    one row of n bits per choice of the first ar - 1 arguments.
+    """
+    n = fp.arity
+    offsets, _ = _layout(n, fp.arities)
+    digits = format(fp.bits, "b")[::-1]  # digit k is bit k
+    facts = set()
+    for sym, ar, start in zip(fp.sublanguage, fp.arities, offsets):
+        if ar == 0:
+            if fp.bits >> start & 1:
+                facts.add((sym, ()))
+            continue
+        for row, head in enumerate(itertools.product(range(n), repeat=ar - 1)):
+            lo = start + row * n
+            k = digits.find("1", lo, lo + n)
+            while k >= 0:
+                facts.add((sym, (*head, k - lo)))
+                k = digits.find("1", k + 1, lo + n)
+    return facts
+
+
+GALLERY_SPECS = [
+    "kaleidoscope:k=2,d=8",
+    "kaleidoscope:k=3,d=8",
+    "maxgraph:d=16",
+    "geometric:dim=2,norm=sup,p=0.5",
+    "blowup:d=3",
+    "digraph:d=3",
+    "bipartite:i=2,j=2",
+    "mixture:p1=0.1,p2=0.9",
+]
+
+
+def table_facts(tables):
+    return {(sym, tuple(t)) for sym, table in tables.items() for t in np.argwhere(table).tolist()}
+
+
+@pytest.mark.parametrize("spec", GALLERY_SPECS)
+@pytest.mark.parametrize("n", [1, 5, 8])
+def test_fingerprint_tables_match_the_digit_scan(spec, n):
+    sampler = parse_sampler_spec(spec)
+    fp = sampler.type_fn(n, XiFamily(SeedKey(n)))
+    tables = fingerprint_tables(fp)
+    assert list(tables) == list(fp.sublanguage)
+    for sym, ar in zip(fp.sublanguage, fp.arities):
+        assert tables[sym].dtype == bool and tables[sym].shape == (n,) * ar
+    want = digit_scan_facts(fp)
+    assert table_facts(tables) == want
+    assert structure_from_fingerprint(fp, sampler.signature, n).facts == want
+
+
+def test_fingerprint_tables_match_the_digit_scan_mixed_arity():
+    everyone = tuple(range(5))
+    # ascending, a non-ascending sublanguage, and one with the 0-ary Z last
+    for sub in [None, (3, 0), (4, 2, 1, 0)]:
+        for M in MIXED:
+            fp = qf_fingerprint(M, everyone, sub)
+            want = digit_scan_facts(fp)
+            assert table_facts(fingerprint_tables(fp)) == want
+            assert structure_from_fingerprint(fp, MIXED_SIG, 5).facts == want
+            assert want == {(s, t) for s, t in M.facts if sub is None or s in sub}
+    # the 0-ary table is 0-d, true or false
+    assert {bool(fingerprint_tables(qf_fingerprint(M, everyone))[0]) for M in MIXED} == {True, False}
+
+
+def test_from_tables_refuses_a_table_that_misfits_the_signature():
+    good = {0: np.zeros(3, dtype=bool), 1: np.zeros((3, 3), dtype=bool)}
+    assert FiniteStructure.from_tables(SIG, 3, good).facts == frozenset()
+    bad_tables = [
+        {0: np.zeros(4, dtype=bool)},  # wrong shape
+        {0: np.zeros((3, 3), dtype=bool)},  # wrong ndim
+        {1: np.zeros(3, dtype=bool)},  # wrong ndim for E
+        {0: np.zeros(3, dtype=np.uint8)},  # wrong dtype
+        {0: [False, True, False]},  # not an array
+        {2: np.zeros(3, dtype=bool)},  # unknown symbol
+        {-1: np.zeros(3, dtype=bool)},
+    ]
+    for tables in bad_tables:
+        with pytest.raises(LogicError):
+            FiniteStructure.from_tables(SIG, 3, tables)
+    with pytest.raises(LogicError):
+        FiniteStructure.from_tables(SIG, -1, {})
+
+
+def test_from_tables_equals_the_checked_constructor():
+    for S in [M, *MIXED]:
+        tables = fingerprint_tables(qf_fingerprint(S, tuple(range(S.domain_size))))
+        built = FiniteStructure.from_tables(S.signature, S.domain_size, tables)
+        assert built == S and hash(built) == hash(S)
+        assert isinstance(built.facts, frozenset)
+
+
+def test_hand_built_facts_keep_the_full_check():
+    # facts from outside the table path: out of domain, wrong arity, unknown symbol
+    for facts in [{(0, (3,))}, {(1, (0, -1))}, {(0, (0, 1))}, {(1, (0,))}, {(2, (0,))}]:
+        with pytest.raises(LogicError):
+            FiniteStructure(SIG, 3, frozenset(facts))
