@@ -15,10 +15,11 @@ import csv
 import io
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .logic import (
     FiniteStructure,
@@ -112,6 +113,16 @@ def _report(name: str, count: int, trials: int, seed: SeedKey) -> StatReport:
     return StatReport(name, Fraction(count, trials), _binomial_stderr(count, trials), trials, seed)
 
 
+def _trials(sampler: AhkSampler, n: int, trials: int, seed: SeedKey) -> Iterator[TypeFingerprint]:
+    """Each trial's type of n points, in trial order: the estimators' one loop.
+
+    Trial t reads the family keyed by seed.child("trial", t).
+    """
+    if trials <= 0:
+        raise ValueError("trials must be positive")
+    return (sampler.type_fn(n, XiFamily(seed.child("trial", t))) for t in range(trials))
+
+
 # ---------------------------------------------------------------------------
 # measure estimation
 # ---------------------------------------------------------------------------
@@ -122,7 +133,6 @@ def estimate_measure(
     phi: QfFormula,
     trials: int,
     seed: SeedKey,
-    statistic: str | None = None,
 ) -> StatReport:
     """Monte Carlo estimate of the measure of phi at a tuple of distinct points.
 
@@ -131,15 +141,8 @@ def estimate_measure(
     phi on it. Tuples are always injective, so eq(x_i, x_j) with i != j
     has measure exactly 0 and the estimate for a tautology is exactly 1.
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    m = num_vars(phi)
-    count = 0
-    for t in range(trials):
-        fp = sampler.type_fn(m, XiFamily(seed.child("trial", t)))
-        if fp.models(phi):
-            count += 1
-    return _report(statistic or "measure", count, trials, seed)
+    count = sum(fp.models(phi) for fp in _trials(sampler, num_vars(phi), trials, seed))
+    return _report("measure", count, trials, seed)
 
 
 @dataclass(frozen=True)
@@ -175,8 +178,6 @@ def dissociation_test(
     exchangeable measure is dissociated, so a sound sampler should show
     |z| consistent with 0.
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
     ma, mb = num_vars(phi), num_vars(psi)
     if tuple_a is None:
         tuple_a = tuple(range(ma))
@@ -187,8 +188,7 @@ def dissociation_test(
     n_points = max((*tuple_a, *tuple_b), default=-1) + 1
 
     n11 = n10 = n01 = 0
-    for t in range(trials):
-        fp = sampler.type_fn(n_points, XiFamily(seed.child("trial", t)))
+    for fp in _trials(sampler, n_points, trials, seed):
         a = fp.models(phi, tuple_a)
         b = fp.models(psi, tuple_b)
         if a and b:
@@ -253,25 +253,21 @@ def invariance_test(
     paired difference; an invariant measure has mean difference 0 and
     the identity permutation gives gap exactly 0 on every seed.
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
     m = num_vars(phi)
     n = len(sigma)
     if n < m:
         raise ValueError("permutation acts on fewer points than phi uses")
     image = tuple(sigma.mapping[i] for i in range(m))
 
-    ca = cb = 0
-    sum_d = sum_d2 = 0
-    for t in range(trials):
-        fp = sampler.type_fn(n, XiFamily(seed.child("trial", t)))
+    # d = a - b per trial: its sum is ca - cb, and d * d = 1 exactly where a != b
+    ca = cb = sum_d2 = 0
+    for fp in _trials(sampler, n, trials, seed):
         a = fp.models(phi)
         b = fp.models(phi, image)
         ca += a
         cb += b
-        d = int(a) - int(b)
-        sum_d += d
-        sum_d2 += d * d
+        sum_d2 += a != b
+    sum_d = ca - cb
 
     gap = Fraction(ca - cb, trials)
     mean_d = sum_d / trials
@@ -389,13 +385,8 @@ def estimate_positive_types(
     returned entries (itself a Bernoulli proportion, so its stderr is
     binomial).
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
     eps = Fraction(epsilon).limit_denominator(10**12) if isinstance(epsilon, float) else Fraction(epsilon)
-    counts: dict[TypeFingerprint, int] = {}
-    for t in range(trials):
-        fp = sampler.type_fn(arity, XiFamily(seed.child("trial", t)))
-        counts[fp] = counts.get(fp, 0) + 1
+    counts = Counter(_trials(sampler, arity, trials, seed))
     entries = [
         (fp, Fraction(c, trials))
         for fp, c in counts.items()

@@ -45,8 +45,9 @@ def _relation_block(prefix: str, count: int, arity: int) -> tuple[tuple[str, int
 def _orderings(n: int, k: int) -> tuple[tuple[tuple[frozenset, int], ...], int]:
     """Each k-subset of [n] with the mask of its orderings in one k-ary block.
 
-    Also returns the block stride n**k, the distance between the bits of
-    one tuple under consecutive k-ary symbols.
+    Subsets come in itertools.combinations order. Also returns the block
+    stride n**k, the distance between the bits of one tuple under
+    consecutive k-ary symbols.
     """
     subsets = tuple(
         (frozenset(c), sum(1 << _atom_bit(n, (k,), 0, t) for t in permutations(c)))
@@ -145,13 +146,16 @@ class MaxGraph(AhkSampler):
         d = self.d
         # prefixes are read only for vertices in some pair: none at n = 1
         prefix = [xs.prefix((i,), d) for i in range(n)] if n > 1 else []
-        atoms = []
-        for i, j in combinations(range(n), 2):
-            m = max(prefix[i], prefix[j])
-            for sym in range(d):
-                if m >> (d - 1 - sym) & 1:
-                    atoms += ((sym, (i, j)), (sym, (j, i)))
-        return self._from_bits(n, pack_atoms(n, self._language[1], atoms))
+        # R_sym is bit d-1-sym of the max prefix: each vertex's prefix
+        # spread to one block stride per symbol, times the pair's mask
+        pairs, stride = _orderings(n, 2)
+        spread = [
+            sum(1 << sym * stride for sym in range(d) if p >> (d - 1 - sym) & 1) for p in prefix
+        ]
+        bits = 0
+        for (i, j), (_, mask) in zip(combinations(range(n), 2), pairs):
+            bits |= mask * spread[i if prefix[i] >= prefix[j] else j]
+        return self._from_bits(n, bits)
 
 
 class GeometricGraph(AhkSampler):
@@ -193,12 +197,12 @@ class GeometricGraph(AhkSampler):
             else tuple(2.0 * xs.value((i,), c) for c in range(self.dim))
             for i in range(n)
         ] if n > 1 else []
-        atoms = []
-        for i, j in combinations(range(n), 2):
+        bits = 0
+        for (i, j), (pair, mask) in zip(combinations(range(n), 2), _orderings(n, 2)[0]):
             # the pair coin is read only when the points are close
-            if self._close(points[i], points[j]) and xs.value(frozenset((i, j))) < self.p:
-                atoms += ((0, (i, j)), (0, (j, i)))
-        return self._from_bits(n, pack_atoms(n, self._language[1], atoms))
+            if self._close(points[i], points[j]) and xs.value(pair) < self.p:
+                bits |= mask
+        return self._from_bits(n, bits)
 
 
 class BlowupControl(AhkSampler):
@@ -349,11 +353,11 @@ class MixtureControl(AhkSampler):
 
     def type_fn(self, n: int, xs: XiFamily) -> TypeFingerprint:
         p = self.p1 if xs.value(()) < 0.5 else self.p2
-        atoms = []
-        for i, j in combinations(range(n), 2):
-            if xs.value(frozenset((i, j))) < p:
-                atoms += ((0, (i, j)), (0, (j, i)))
-        return self._from_bits(n, pack_atoms(n, self._language[1], atoms))
+        bits = 0
+        for pair, mask in _orderings(n, 2)[0]:
+            if xs.value(pair) < p:
+                bits |= mask
+        return self._from_bits(n, bits)
 
 
 # ---------------------------------------------------------------------------

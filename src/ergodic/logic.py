@@ -442,29 +442,67 @@ class TypeFingerprint:
         symbols in phi are ambient signature indices and must belong to
         the sublanguage.
         """
-        pos_of = {s: k for k, s in enumerate(self.sublanguage)}
+        if assignment is not None:
+            assignment = tuple(assignment)
+        return _qf_test(self.arity, self.sublanguage, self.arities, phi, assignment)(self.bits)
 
-        def rec(f: QfFormula) -> bool:
-            if isinstance(f, Rel):
-                if f.sym not in pos_of:
-                    raise LogicError(f"symbol {f.sym} outside fingerprint sublanguage")
-                coords = tuple(
-                    (assignment[v] if assignment is not None else v) for v in f.args
-                )
-                return self.has(pos_of[f.sym], coords)
-            if isinstance(f, Eq):
-                a = assignment[f.left] if assignment is not None else f.left
-                b = assignment[f.right] if assignment is not None else f.right
-                return self.eq_bit(a, b)
-            if isinstance(f, Not):
-                return not rec(f.sub)
-            if isinstance(f, And):
-                return all(rec(s) for s in f.subs)
-            if isinstance(f, Or):
-                return any(rec(s) for s in f.subs)
-            raise LogicError(f"not a quantifier-free formula: {f!r}")
 
-        return rec(phi)
+@lru_cache(maxsize=1 << 10)
+def _qf_test(
+    arity: int,
+    sublanguage: tuple[int, ...],
+    arities: tuple[int, ...],
+    phi: QfFormula,
+    assignment: tuple[int, ...] | None,
+) -> Callable[[int], bool]:
+    """phi compiled to a test on fingerprint bits of one layout.
+
+    Each atom becomes a shift by its bit index, found once here, so
+    TypeFingerprint.models pays for the layout arithmetic once per
+    (layout, phi, assignment) and not once per call. Variable v reads
+    coordinate assignment[v], or v when assignment is None. Every leaf
+    is resolved here, so a symbol outside the sublanguage or an unbound
+    variable raises LogicError whatever the bits turn out to be.
+    """
+    pos_of = {s: k for k, s in enumerate(sublanguage)}
+
+    def coord(v: int) -> int:
+        if assignment is None:
+            return v
+        if not 0 <= v < len(assignment):
+            raise LogicError("free variable unbound by assignment")
+        return assignment[v]
+
+    def bit(k: int) -> Callable[[int], bool]:
+        return lambda bits: bits >> k & 1 == 1
+
+    def rec(f: QfFormula) -> Callable[[int], bool]:
+        if isinstance(f, Rel):
+            if f.sym not in pos_of:
+                raise LogicError(f"symbol {f.sym} outside fingerprint sublanguage")
+            return bit(_atom_bit(arity, arities, pos_of[f.sym], tuple(coord(v) for v in f.args)))
+        if isinstance(f, Eq):
+            a, b = sorted((coord(f.left), coord(f.right)))
+            if a == b and 0 <= a < arity:
+                return lambda bits: True
+            return bit(_eq_bit(arity, arities, a, b))
+        if isinstance(f, Not):
+            sub = rec(f.sub)
+            return lambda bits: not sub(bits)
+        if isinstance(f, (And, Or)):
+            subs = tuple(rec(s) for s in f.subs)
+            stop = isinstance(f, Or)  # the part value that settles the connective
+
+            def connective(bits: int) -> bool:
+                for t in subs:
+                    if t(bits) == stop:
+                        return stop
+                return not stop
+
+            return connective
+        raise LogicError(f"not a quantifier-free formula: {f!r}")
+
+    return rec(phi)
 
 
 def qf_fingerprint(

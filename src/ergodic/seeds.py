@@ -92,8 +92,8 @@ class SeedKey:
             if type(label) is not int and type(label) is not str:
                 labels = _canonical_label(labels)
                 break
-        payload = _TAG_CHILD + repr(labels).encode()
-        digest = hashlib.blake2b(payload, digest_size=16, key=self._key_bytes())
+        digest = _keyed_hasher(self.master, 16).copy()
+        digest.update(_TAG_CHILD + repr(labels).encode())
         return SeedKey(int.from_bytes(digest.digest(), "big"))
 
 
@@ -110,10 +110,19 @@ def _value_payload(subset: Iterable[int], stream: int) -> bytes:
     return _TAG_VALUE + encoded + int(stream).to_bytes(8, "big")
 
 
+@lru_cache(maxsize=1 << 16)
+def _subset_payload(subset: frozenset, stream: int) -> bytes:
+    """_value_payload of one (subset, stream) address; the same for every key."""
+    return _value_payload(subset, stream)
+
+
 @lru_cache(maxsize=1 << 10)
-def _keyed_hasher(master: int):
-    """Keyed blake2b state for one master key; callers copy it, never update it."""
-    return hashlib.blake2b(digest_size=8, key=master.to_bytes(16, "big"))
+def _keyed_hasher(master: int, digest_size: int = 8):
+    """Keyed blake2b state for one master key; callers copy it, never update it.
+
+    Digest size 8 draws PRF words (xi_raw), 16 derives child keys.
+    """
+    return hashlib.blake2b(digest_size=digest_size, key=master.to_bytes(16, "big"))
 
 
 def xi_raw(key: SeedKey, subset: Iterable[int], stream: int = 0) -> int:
@@ -177,7 +186,7 @@ class XiFamily:
         self._cache: dict[tuple[frozenset, int], int] = {}
 
     def raw(self, positions: Iterable[int], stream: int = 0) -> int:
-        s = frozenset(positions)
+        s = positions if type(positions) is frozenset else frozenset(positions)
         if self.remap is not None:
             s = frozenset(self.remap[p] for p in s)
         if self.trace is not None:
@@ -186,7 +195,7 @@ class XiFamily:
         got = self._cache.get(key)
         if got is None:
             digest = self._hasher.copy()
-            digest.update(_value_payload(s, stream))
+            digest.update(_subset_payload(s, stream))
             got = self._cache[key] = int.from_bytes(digest.digest(), "big")
         return got
 

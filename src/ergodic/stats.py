@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .engine import AhkSampler, StatReport, _report
+from .engine import AhkSampler, StatReport, _report, _trials
 from .logic import (
     FiniteStructure,
     LogicError,
@@ -23,7 +23,7 @@ from .logic import (
     num_vars,
     qf_fingerprint,
 )
-from .seeds import SeedKey, XiFamily
+from .seeds import SeedKey
 
 __all__ = [
     "RootReport",
@@ -145,12 +145,6 @@ def collision_stat(
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if trials <= 0:
-        raise ValueError("trials must be positive")
     head, tail = tuple(range(n)), tuple(range(n, 2 * n))
-    count = 0
-    for t in range(trials):
-        fp = sampler.type_fn(2 * n, XiFamily(seed.child("trial", t)))
-        if fp.agrees(head, tail):
-            count += 1
+    count = sum(fp.agrees(head, tail) for fp in _trials(sampler, 2 * n, trials, seed))
     return _report("collision", count, trials, seed)

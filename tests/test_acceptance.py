@@ -229,6 +229,7 @@ def test_criterion_06_stage_invariants_exact():
 def test_criterion_07_limit_sampling_soundness():
     with criterion(7, "100 depth-20 samples: axioms, omission, distinct prints") as d:
         handle = twelve_stage_handle()
+        t0 = time.monotonic()  # the first snapshot deepens the build to stage 20
         for t in range(100):
             samp = sample_structure(handle, 30, 20, SEED.child("c7", t))
             axioms = materialized_universal_axioms(handle.theory, samp.symbol_ids)
@@ -237,7 +238,9 @@ def test_criterion_07_limit_sampling_soundness():
             assert type_omitted_in_sample(samp, handle.theory)
             prints = unary_fingerprints(samp)
             assert len(set(prints)) == len(prints) == 30
-        d["note"] = "100/100 samples sound"
+        elapsed = time.monotonic() - t0
+        assert elapsed < 60.0
+        d["note"] = f"100/100 samples sound, {elapsed:.1f}s"
 
 
 def test_criterion_08_expansion_roundtrip():

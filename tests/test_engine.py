@@ -18,7 +18,8 @@ from ergodic.engine import (
 from ergodic.fixtures import BrokenSupersetSampler, EmptySampler, IndexKeyedSampler
 from ergodic.gallery import BlowupControl, KaleidoscopeHypergraph, MixtureControl
 from ergodic.logic import And, Eq, Not, Or, Permutation, Rel
-from ergodic.seeds import SeedKey
+from ergodic.seeds import SeedKey, XiFamily
+from ergodic.stats import collision_stat
 
 SEED = SeedKey.from_hex("00112233445566778899aabbccddeeff")
 EDGE = Rel(0, (0, 1))
@@ -154,3 +155,32 @@ def test_positive_types_blowup_spectrum():
 def test_positive_types_epsilon_cap():
     rep = estimate_positive_types(BlowupControl(3), 1, 0.3, 2000, SEED)
     assert len(rep.entries) <= 3  # pigeonhole: at most floor(1/eps)
+
+
+@pytest.mark.parametrize("trials", [1, 300])
+def test_counts_match_a_per_trial_loop(trials):
+    # the estimators against the trial loop written out, on the keys they derive
+    sampler = KaleidoscopeHypergraph(2, 2)
+    phi, psi = And((EDGE, Not(Rel(1, (0, 1))))), Or((Rel(1, (0, 1)), Eq(0, 1)))
+
+    def fps(n, seed):
+        return [sampler.type_fn(n, XiFamily(seed.child("trial", t))) for t in range(trials)]
+
+    est = SEED.child("est")
+    want = sum(fp.models(phi) for fp in fps(2, est))
+    assert estimate_measure(sampler, phi, trials, est).estimate == Fraction(want, trials)
+
+    dis = SEED.child("dis")
+    joint = sum(fp.models(phi, (0, 1)) and fp.models(psi, (2, 3)) for fp in fps(4, dis))
+    assert dissociation_test(sampler, phi, psi, trials, dis).joint.estimate == Fraction(
+        joint, trials
+    )
+
+    inv = SEED.child("inv")
+    moved = sum(fp.models(phi, (1, 2)) for fp in fps(3, inv))
+    rep = invariance_test(sampler, phi, Permutation((1, 2, 0)), trials, inv)
+    assert rep.at_permuted.estimate == Fraction(moved, trials)
+
+    col = SEED.child("col")
+    hits = sum(fp.agrees((0, 1), (2, 3)) for fp in fps(4, col))
+    assert collision_stat(sampler, 2, trials, col).estimate == Fraction(hits, trials)

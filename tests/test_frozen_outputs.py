@@ -63,6 +63,32 @@ CASES = [
     ("roots_maxgraph.jsonl", ["roots", "--sampler", "maxgraph:d=4", "-n", "8",
                               "--seed", SEED_A], 2,
      "a4c3482e91e7c74b3ffea689f0bff92b0a21c8e4"),
+    # the Monte Carlo estimators, one case each; the mixture's dissociation gap is flagged
+    ("estimate.jsonl", ["estimate", "--sampler", "maxgraph:d=4", "--phi",
+                        "(and (rel R0 x0 x1) (not (rel R3 x0 x1)))", "--trials", "3000",
+                        "--seed", SEED_A], 0,
+     "0272bfdc643d652a7c08ee6c1502669c14a4a482"),
+    ("dissoc_kaleidoscope.jsonl", ["dissoc", "--sampler", "kaleidoscope:k=2,d=3", "--phi",
+                                   "(rel R0 x0 x1)", "--psi", "(or (rel R1 x0 x1) (eq x0 x1))",
+                                   "--trials", "3000", "--seed", SEED_A], 0,
+     "b8d1a24dc99a4a2fd02e4a9ec0abfc066a26321e"),
+    ("dissoc_mixture.jsonl", ["dissoc", "--sampler", "mixture:p1=0.1,p2=0.9", "--phi",
+                              "(rel R0 x0 x1)", "--psi", "(rel R0 x0 x1)", "--trials", "3000",
+                              "--seed", SEED_B], 1,
+     "053bc70d0c20480b8c4608ad98acc2717a1ecf9b"),
+    ("invariance.jsonl", ["invariance", "--sampler", "digraph:d=3", "--phi",
+                          "(and (rel R x0 x1) (not (rel R x1 x2)))", "--sigma", "2 0 1",
+                          "--trials", "3000", "--seed", SEED_A], 0,
+     "afcdd152c597cb57ef7a9f20879afff827db1958"),
+    ("coherence.jsonl", ["coherence", "--sampler", "bipartite:i=2,j=2", "-n", "5", "-m", "3",
+                         "--trials", "100", "--seed", SEED_A], 0,
+     "d308c59075f5c5a961f6b4ec03cfa8ea0cf8ca28"),
+    ("collide.jsonl", ["collide", "--sampler", "kaleidoscope:k=2,d=2", "-n", "2",
+                       "--expect", "0.25", "--trials", "3000", "--seed", SEED_A], 0,
+     "e8d3f3cc994f9272369336a1131ba98d59f05090"),
+    ("postypes.jsonl", ["postypes", "--sampler", "blowup:d=3", "--arity", "1",
+                        "--epsilon", "0.05", "--trials", "3000", "--seed", SEED_B], 0,
+     "ae6027453610445d7384e7ee4347e39784803d00"),
 ]
 
 

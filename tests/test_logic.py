@@ -108,8 +108,11 @@ def test_fingerprint_models_matches_eval():
 
 def test_models_rejects_symbols_outside_sublanguage():
     fp = qf_fingerprint(M, (0, 1), sublanguage=(0,))
-    with pytest.raises(LogicError):
+    with pytest.raises(LogicError, match="symbol 1 outside fingerprint sublanguage"):
         fp.models(Rel(1, (0, 1)))
+    # an atom the evaluation never reaches is resolved all the same
+    with pytest.raises(LogicError, match="symbol 1 outside fingerprint sublanguage"):
+        fp.models(Or((Eq(0, 0), Rel(1, (0, 1)))))
 
 
 def test_restrict_is_prefix_type():
@@ -365,3 +368,59 @@ def test_hand_built_facts_keep_the_full_check():
     for facts in [{(0, (3,))}, {(1, (0, -1))}, {(0, (0, 1))}, {(1, (0,))}, {(2, (0,))}]:
         with pytest.raises(LogicError):
             FiniteStructure(SIG, 3, frozenset(facts))
+
+
+def _random_qf(rng, depth, nvars):
+    """A random formula over MIXED_SIG with variables below nvars."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.25:
+            return Eq(rng.randrange(nvars), rng.randrange(nvars))
+        sym = rng.randrange(len(MIXED_SIG))
+        return Rel(sym, tuple(rng.randrange(nvars) for _ in range(MIXED_SIG.arity(sym))))
+    pick = rng.random()
+    if pick < 0.3:
+        return Not(_random_qf(rng, depth - 1, nvars))
+    subs = tuple(_random_qf(rng, depth - 1, nvars) for _ in range(rng.randint(1, 3)))
+    return And(subs) if pick < 0.65 else Or(subs)
+
+
+def _unchecked(cls, subs):
+    """And/Or with no parts at all, which their constructors refuse."""
+    f = object.__new__(cls)
+    object.__setattr__(f, "subs", subs)
+    return f
+
+
+def test_models_matches_eval_qf_on_random_formulas():
+    # every length-a tuple of each structure, a = 0..3: repeated elements
+    # give true eq bits, and a = 0 is the empty tuple over the 0-ary Z
+    rng = random.Random(11)
+    empty_and, empty_or = _unchecked(And, ()), _unchecked(Or, ())
+    assert eval_qf(MIXED[0], empty_and, ()) and not eval_qf(MIXED[0], empty_or, ())
+    for M_ in MIXED:
+        for a in range(4):
+            tuples = list(itertools.product(range(5), repeat=a))
+            fps = [qf_fingerprint(M_, t) for t in tuples]
+            formulas = [_random_qf(rng, 3, max(a, 1)) for _ in range(25)]
+            formulas += [empty_and, empty_or, Not(empty_and), And((empty_or, Rel(0, ())))]
+            for phi in formulas:
+                m = num_vars(phi)
+                if m > a:
+                    continue
+                # the identity, then assignments that repeat or reorder coordinates
+                assignments = [None]
+                assignments += [tuple(rng.randrange(a) for _ in range(m)) for _ in range(3)]
+                for assignment in assignments:
+                    coords = range(m) if assignment is None else assignment
+                    for t, fp in zip(tuples, fps):
+                        want = eval_qf(M_, phi, tuple(t[c] for c in coords))
+                        assert fp.models(phi, assignment) is want, (phi, assignment, t)
+
+
+
+def test_models_rejects_unbound_and_out_of_range_variables():
+    fp = qf_fingerprint(M, (0, 1), sublanguage=(0,))
+    for phi, assignment in [(Rel(0, (0,)), (5,)), (Rel(0, (1,)), (0,)), (Eq(0, 2), None),
+                            (Eq(3, 3), None), (Rel(0, (0, 1)), None)]:
+        with pytest.raises(LogicError):
+            fp.models(phi, assignment)

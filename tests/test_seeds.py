@@ -169,3 +169,14 @@ def test_raw_words_equal_a_fresh_keyed_digest():
 def test_singleton_tuples_reject_negative_elements():
     with pytest.raises(ValueError):
         xi_raw(KEY, (-3,))
+
+
+def test_child_keys_equal_a_fresh_keyed_digest():
+    # word draws and key derivations interleaved on the same masters: the
+    # 8-byte and 16-byte keyed states they copy must never stand in for each other
+    for key in (KEY, KEY.child("other"), SeedKey(0)):
+        for t in range(50):
+            xi_raw(key, (t,))
+            payload = b"\x01" + repr(("trial", t)).encode()
+            fresh = hashlib.blake2b(payload, digest_size=16, key=key.master.to_bytes(16, "big"))
+            assert key.child("trial", t).master == int.from_bytes(fresh.digest(), "big")
