@@ -61,7 +61,7 @@ from .morley import (
     morleyize,
     parse_fragment,
 )
-from .seeds import BITS_PER_STREAM, SeedKey, xi_raw
+from .seeds import BITS_PER_STREAM, SeedKey, xi_raw, xi_words
 
 STAR = -1  # reservoir marker in position/parent arrays
 
@@ -391,7 +391,7 @@ class KaleidoscopePredicateGuide:
 
     def _decide(self, handles: np.ndarray, w: int) -> None:
         """Decide PRF word w of the given distinct, undecided handles."""
-        raw = np.array([xi_raw(self._bitkey, (u,), w) for u in handles.tolist()], dtype=np.uint64)
+        raw = xi_words(self._bitkey, handles, w)
         # level n is the expansion's bit n, the raw word's bit 63-n: reverse
         # the 64 bits (bytes in reverse order, each byte's bits reversed)
         raw = _REVERSED_BYTE[raw.astype(">u8").view(np.uint8).reshape(-1, 8)[:, ::-1]]
@@ -590,6 +590,27 @@ def _matches(guide: KaleidoscopePredicateGuide, uid: int, mask: int, bits: int) 
                for n in range(mask.bit_length()) if (mask >> n) & 1)
 
 
+def _departures(guide: KaleidoscopePredicateGuide, new: int) -> np.ndarray:
+    """separating_levels(arange(new), full(new, new)) for the latest stage's new element.
+
+    A copy born at stage j agrees with its origin on routed[j-1], so if
+    the origin departs below the lowest level missing from routed[j-1],
+    the copy departs at that same level, with no word drawn. Handles go
+    in birth order, origins before copies; the rest are searched.
+    """
+    out = np.full(new, -1, dtype=np.int64)
+    for j in range(1, new.bit_length() + 1):
+        lo, hi = (1 << (j - 1)) - 1, min((1 << j) - 1, new)  # the handles born at stage j
+        if j > 1:
+            shared = guide.routed[j - 1]
+            gap = (~shared & (shared + 1)).bit_length() - 1  # lowest level not shared
+            inherited = out[: min(lo, hi - lo)]  # copy lo + i has origin i
+            out[lo : lo + len(inherited)] = np.where(inherited < gap, inherited, -1)
+        rest = lo + np.flatnonzero(out[lo:hi] < 0)
+        out[rest] = guide.separating_levels(rest, np.full(len(rest), new))
+    return out
+
+
 def advance_stage(stage: Stage, guide: KaleidoscopePredicateGuide,
                   entry: ScheduleEntry) -> Stage:
     if entry.k != stage.index:
@@ -638,7 +659,7 @@ def advance_stage(stage: Stage, guide: KaleidoscopePredicateGuide,
     # the new element against everyone: peeling the prefix bucket of
     # elements that agree with it until it stands alone admits exactly
     # the level where each element first departs from it
-    departures = guide.separating_levels(np.arange(fresh), np.full(fresh, fresh))
+    departures = _departures(guide, fresh)
     for level in np.union1d(pairs, departures).tolist():
         admit(theory.pred_symbol(level))
         admit(theory.iff_symbol(level))
@@ -945,16 +966,9 @@ def _fact_array(guide: KaleidoscopePredicateGuide, theory: BuildTheory,
             return handles[:, None] == handles[None, :]
         if isinstance(phi, FNot):
             return ~rec(phi.sub)
-        if isinstance(phi, FAnd):
-            out = rec(phi.subs[0])
-            for s in phi.subs[1:]:
-                out = out & rec(s)
-            return out
-        if isinstance(phi, FOr):
-            out = rec(phi.subs[0])
-            for s in phi.subs[1:]:
-                out = out | rec(s)
-            return out
+        if isinstance(phi, (FAnd, FOr)):
+            join = np.logical_and if isinstance(phi, FAnd) else np.logical_or
+            return reduce(join, map(rec, phi.subs))
         if isinstance(phi, (FForall, FExists)):
             return np.ones((size,) * arity, dtype=bool)
         raise GuideError(f"cannot tabulate {phi!r}")
@@ -1030,11 +1044,8 @@ def sample_structure(handle: LimitHandle, m: int, depth: int, seed: SeedKey,
 
     theory = handle.theory
     lang_ids = tuple(sorted(handle.stage(level).lang))
-    sig_syms = []
     concrete = theory.language.materialize((max(lang_ids) + 1) if lang_ids else 0)
-    for sym in lang_ids:
-        sig_syms.append((concrete.name(sym), concrete.arity(sym)))
-    signature = Signature(tuple(sig_syms))
+    signature = Signature(tuple((concrete.name(sym), concrete.arity(sym)) for sym in lang_ids))
 
     uids = tuple(pt.position(level) for pt in points)
     return LimitSample(

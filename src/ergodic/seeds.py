@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
+import numpy as np
+
 _MASK128 = (1 << 128) - 1
 
 # Domain-separation prefixes for the two derivation families.
@@ -132,39 +134,24 @@ def xi_raw(key: SeedKey, subset: Iterable[int], stream: int = 0) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
-def xi(key: SeedKey, subset: Iterable[int], stream: int = 0) -> float:
-    """Uniform dyadic rational in [0, 1) attached to a finite set.
-
-    The value has exactly 53 bits, so it converts to Fraction without
-    rounding and comparisons against dyadic thresholds are exact.
-    """
-    return (xi_raw(key, subset, stream) >> 11) * 2.0**-53
-
-
-def xi_bit(key: SeedKey, subset: Iterable[int], index: int, base_stream: int = 0) -> int:
-    """Bit `index` of the binary expansion of the uniform sequence at `subset`.
-
-    Bits 0..52 agree with the literal binary expansion of
-    xi(key, subset, base_stream); deeper indices chunk transparently into
-    higher streams so callers may ask for arbitrarily many fair bits.
-    """
-    if index < 0:
-        raise ValueError("bit index must be nonnegative")
-    stream, offset = divmod(index, BITS_PER_STREAM)
-    mantissa = xi_raw(key, subset, base_stream + stream) >> 11
-    return (mantissa >> (52 - offset)) & 1
-
-
-def xi_prefix(key: SeedKey, subset: Iterable[int], count: int, base_stream: int = 0) -> int:
-    """First `count` expansion bits packed into an int, most significant first.
-
-    Integer order on the result equals lexicographic order on the bit
-    sequence, which is what prefix-comparison samplers need.
-    """
-    out = 0
-    for i in range(count):
-        out = (out << 1) | xi_bit(key, subset, i, base_stream)
-    return out
+def xi_words(key: SeedKey, elements: np.ndarray, stream: int = 0) -> np.ndarray:
+    """xi_raw(key, (u,), stream) for every u of a nonnegative int array, as uint64."""
+    us = np.asarray(elements).ravel()
+    if us.dtype.kind not in "iu" or (us.size and us.min() < 0):
+        raise ValueError("subset elements must be nonnegative integers")
+    # row i is the payload _value_payload writes for the singleton (us[i],)
+    head = _TAG_VALUE + _ONE
+    rows = np.empty((len(us), len(head) + 16), dtype=np.uint8)
+    rows[:, : len(head)] = np.frombuffer(head, dtype=np.uint8)
+    rows[:, len(head) : -8] = us.astype(">u8").view(np.uint8).reshape(-1, 8)
+    rows[:, -8:] = np.frombuffer(int(stream).to_bytes(8, "big"), dtype=np.uint8)
+    base = _keyed_hasher(key.master)
+    digests = bytearray()
+    for payload in rows.view(f"V{rows.shape[1]}").ravel().tolist():  # each row as one bytes object
+        digest = base.copy()
+        digest.update(payload)
+        digests += digest.digest()
+    return np.frombuffer(bytes(digests), dtype=">u8").astype(np.uint64)
 
 
 class XiFamily:
@@ -208,7 +195,7 @@ class XiFamily:
         return (mantissa >> (52 - offset)) & 1
 
     def prefix(self, positions: Iterable[int], count: int, base_stream: int = 0) -> int:
-        """Same as xi_prefix, reading each stream's word once."""
+        """First `count` expansion bits as an int, most significant first; one read per word."""
         out = 0
         for stream, start in enumerate(range(0, count, BITS_PER_STREAM), base_stream):
             take = min(BITS_PER_STREAM, count - start)

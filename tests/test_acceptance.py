@@ -311,6 +311,7 @@ def _all_tuples(size, arity):
 
 def test_criterion_09_rescaling_separation():
     with criterion(9, "stored weights separate at 1e5; identity weight inert") as d:
+        t0 = time.monotonic()
         handle = twelve_stage_handle()
         stage = 12
         heavy = rescale(handle, weight_preset(handle, "p0-heavy", stage))
@@ -335,7 +336,9 @@ def test_criterion_09_rescaling_separation():
             base_est = estimate_marginal(handle, level, 10_000, key, stage)
             ident_est = estimate_marginal(ident, level, 10_000, key, stage)
             assert base_est == ident_est  # gap exactly 0, trivially within 3 sigma
-        d["note"] = f"gap={gap:.3f} ({gap / combined:.0f} combined stderr)"
+        elapsed = time.monotonic() - t0
+        assert elapsed < 60.0
+        d["note"] = f"gap={gap:.3f} ({gap / combined:.0f} combined stderr), {elapsed:.1f}s"
 
 
 def test_criterion_10_cli_determinism(tmp_path, monkeypatch):

@@ -19,6 +19,7 @@ from ergodic.limits import (
     SeparationError,
     StageCeilingError,
     Weight,
+    _departures,
     _fact_array,
     build_limit,
     build_manifest,
@@ -42,7 +43,7 @@ from ergodic.limits import (
 )
 from ergodic.logic import And, Eq, FiniteStructure, Not, Or, Rel, eval_qf, implies
 from ergodic.morley import Axiom
-from ergodic.seeds import BITS_PER_STREAM, SeedKey, xi_bit
+from ergodic.seeds import BITS_PER_STREAM, SeedKey, XiFamily
 
 SEED = SeedKey.from_hex("00112233445566778899aabbccddeeff")
 
@@ -432,7 +433,7 @@ def test_guide_bits_are_lazy_but_stable(theory):
         guide.bit(0, 3)  # element 0 is born at stage 1, not built yet
     # stage 1 is element 0; stage 2 adds 1, the copy of 0 sharing level 0, and 2
     guide.routed += [0, 0b1]
-    own = [xi_bit(SEED.child("g").child("guide-bits"), (1,), lv) for lv in range(120)]
+    own = [XiFamily(SEED.child("g").child("guide-bits")).bit((1,), lv) for lv in range(120)]
     assert guide.bit(0, 3) == guide.bit(0, 3)
     assert guide.bit(1, 0) == guide.bit(0, 0)  # routed level follows the origin
     assert [guide.bit(1, lv) for lv in range(1, 120)] == own[1:]
@@ -463,7 +464,7 @@ def test_forced_witness_keeps_its_preset_bits(theory):
     key = SEED.child("g")
     guide = KaleidoscopePredicateGuide(key, theory)
     guide.routed += [0, 0]
-    own = [xi_bit(key.child("guide-bits"), (2,), lv) for lv in range(60)]
+    own = [XiFamily(key.child("guide-bits")).bit((2,), lv) for lv in range(60)]
     # preset the opposite of the element's own bits on levels 0, 2 and 55
     mask = (1 << 0) | (1 << 2) | (1 << 55)
     bits = sum((1 - own[lv]) << lv for lv in (0, 2, 55))
@@ -473,6 +474,28 @@ def test_forced_witness_keeps_its_preset_bits(theory):
     assert [g for lv, g in enumerate(got) if not (mask >> lv) & 1] == [
         o for lv, o in enumerate(own) if not (mask >> lv) & 1
     ]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 0xDEE9])
+@pytest.mark.parametrize("base_depth", [2, 4, 6])
+def test_departures_equal_separating_levels(seed, base_depth):
+    handle = LimitHandle(SeedKey(seed), build_theory(base_depth=base_depth))
+    for k in range(1, 13):
+        handle.advance_to(k)
+        new = (1 << k) - 2  # stage k's new element
+        got = _departures(handle.guide, new)
+        want = handle.guide.separating_levels(np.arange(new), np.full(new, new))
+        assert got.tolist() == want.tolist()
+
+
+def test_new_copies_mostly_leave_their_first_word_undrawn():
+    # a copy takes its departure from its origin, and its pair separation
+    # starts past word 0, so word 0 is drawn only for the rare rest
+    handle = build_limit(11, SEED)
+    handle.advance_to(14)
+    copies = np.arange((1 << 13) - 1, (1 << 14) - 2)
+    drawn = handle.guide._planes[0][copies] >= np.uint64(1 << 63)
+    assert drawn.mean() < 0.05
 
 
 def recursive_axiom_holds(samp, axiom, language) -> bool:

@@ -10,13 +10,34 @@ from ergodic.seeds import (
     BITS_PER_STREAM,
     SeedKey,
     XiFamily,
-    xi,
-    xi_bit,
-    xi_prefix,
     xi_raw,
+    xi_words,
 )
 
 KEY = SeedKey.from_hex("00112233445566778899aabbccddeeff")
+
+
+# Oracles of XiFamily.value, bit and prefix, written straight from xi_raw.
+
+
+def xi(key: SeedKey, subset, stream: int = 0) -> float:
+    """Uniform dyadic rational in [0, 1): the top 53 bits of the raw word."""
+    return (xi_raw(key, subset, stream) >> 11) * 2.0**-53
+
+
+def xi_bit(key: SeedKey, subset, index: int, base_stream: int = 0) -> int:
+    """Bit `index` of the expansion; every 53 bits move on to the next stream."""
+    stream, offset = divmod(index, BITS_PER_STREAM)
+    mantissa = xi_raw(key, subset, base_stream + stream) >> 11
+    return (mantissa >> (52 - offset)) & 1
+
+
+def xi_prefix(key: SeedKey, subset, count: int, base_stream: int = 0) -> int:
+    """The first `count` expansion bits, most significant first, read bit by bit."""
+    out = 0
+    for i in range(count):
+        out = (out << 1) | xi_bit(key, subset, i, base_stream)
+    return out
 
 
 def test_from_hex_roundtrip():
@@ -180,3 +201,27 @@ def test_child_keys_equal_a_fresh_keyed_digest():
             payload = b"\x01" + repr(("trial", t)).encode()
             fresh = hashlib.blake2b(payload, digest_size=16, key=key.master.to_bytes(16, "big"))
             assert key.child("trial", t).master == int.from_bytes(fresh.digest(), "big")
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_words_equal_raw_singletons(dtype):
+    small = [0, 1, 7, 1 << 20]
+    large = [1 << 32, 1 << 62] if dtype is np.int64 else []
+    elements = np.array(small + large + small[:2], dtype=dtype)  # repeats too
+    for key in (KEY, KEY.child("other"), SeedKey(0)):
+        for stream in (0, 1, 200):
+            got = xi_words(key, elements, stream)
+            assert got.dtype == np.uint64
+            assert got.tolist() == [xi_raw(key, (int(u),), stream) for u in elements]
+            empty = xi_words(key, np.array([], dtype=dtype), stream)
+            assert empty.dtype == np.uint64 and len(empty) == 0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.array([3, -1]), np.array([-3], dtype=np.int32), np.array([1.0, 2.0]),
+     np.array([True]), np.array([1, 2], dtype=object)],
+)
+def test_words_refuse_negative_and_non_integer_elements(bad):
+    with pytest.raises(ValueError):
+        xi_words(KEY, bad)
