@@ -11,15 +11,13 @@ coherence checker verifies the two exchangeability conditions
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .logic import (
     FiniteStructure,
@@ -90,18 +88,6 @@ class StatReport:
             "trials": self.trials,
             "seed_hex": self.seed.hex,
         }
-
-
-CSV_FIELDS = ["statistic", "estimate", "stderr", "trials", "seed_hex"]
-
-
-def reports_to_csv(reports: Sequence[StatReport]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for r in reports:
-        writer.writerow(r.row())
-    return buf.getvalue()
 
 
 def _binomial_stderr(count: int, trials: int) -> float:

@@ -17,10 +17,13 @@ split = 2^(k-1) - 1 are carried from stage k-1, position u in
 [split, 2 split) is the copy of u - split, and 2^k - 2 is the new
 element. So element u is born at stage (u+1).bit_length(). Each stage
 adds exactly one new element and halves everything, so every element
-of stage k has mass 1/2^k and so has the reservoir. Masses stay exact
-rationals; floating point appears only in Monte Carlo sampling. Paths
-through the stage tree are sampled lazily from per-point seeds, so
-structure sampling reads singleton randomness only.
+of stage k has mass 1/2^k and so has the reservoir; a checked stage
+proves it. A path level is one two-way split of a position's mass
+between its two children: evenly on a built limit, and under a
+reweighting by integer per-cell weights. Masses stay exact rationals;
+floating point appears only in Monte Carlo sampling. Paths through the
+stage tree are sampled lazily from per-point seeds, so structure
+sampling reads singleton randomness only.
 
 The shipped guide oracle realizes the "kaleidoscope predicate" theory:
 countably many independent unary predicates, extension axioms for every
@@ -808,21 +811,6 @@ def stage_invariants(prev: Stage, nxt: Stage,
 GUIDE_NAME = "kaleidoscope-predicate"  # the one guide; build manifests name it
 
 
-def _fiber(st: Stage, parent_pos: int, nums: list[int], star_num: int,
-           den: int) -> tuple[list[int], list[int], int]:
-    """Children of a stage-k position at stage k+1 = st, with their masses.
-
-    A carried element's children are itself and its copy; the reservoir's
-    are the reservoir and the new element. `nums`, `star_num` and `den`
-    are stage st's masses.
-    """
-    if parent_pos == STAR:
-        children = [STAR, st.size - 1]
-    else:
-        children = [parent_pos, st.split + parent_pos]
-    return children, [star_num if c == STAR else nums[c] for c in children], den
-
-
 class LimitHandle:
     """Built stages plus the guide, extended on demand."""
 
@@ -862,10 +850,14 @@ class LimitHandle:
     def depth(self) -> int:
         return len(self.stages) - 1
 
-    def fiber(self, k_child: int, parent_pos: int) -> tuple[list[int], list[int], int]:
-        """(child positions, child numerators, denominator); STAR is a child of STAR."""
-        st = self.stage(k_child)
-        return _fiber(st, parent_pos, st.nums, st.star_num, st.den)
+    def split(self, k: int, parent_pos: int) -> tuple[int, int]:
+        """Masses of a stage-(k-1) position's two stage-k children, over a common denominator.
+
+        The children are the position and its copy, or the reservoir and
+        the new element; every stage-k element weighs 1/2^k, so both halves
+        are equal.
+        """
+        return 1, 1
 
     def level_masses(self, k: int) -> tuple[list[int], int, int]:
         st = self.stage(k)
@@ -885,13 +877,15 @@ def build_limit(stages: int, seed: SeedKey, base_depth: int = 4,
 
 
 class PathPoint:
-    """A point of the limit: one consistent choice through the fibers.
+    """A point of the limit: one consistent choice of child per level.
 
     Extended lazily; the trace below the first non-reservoir level is
     all-reservoir by construction, and since the reservoir mass shrinks
     to zero the point leaves it after finitely many levels with
     certainty. Each level consumes one 53-bit draw from the point's own
-    seed, so two points with distinct seeds are independent.
+    seed, so two points with distinct seeds are independent: with the
+    handle's split (a, b), the draw takes the first child iff
+    draw / 2^53 < a / (a + b).
     """
 
     def __init__(self, handle: LimitHandle, key: SeedKey):
@@ -903,20 +897,11 @@ class PathPoint:
         if len(self.positions) <= depth:
             self.handle.advance_to(depth)  # past the ceiling, refuse before building
         while len(self.positions) <= depth:
-            k_child = len(self.positions)
-            positions, nums, _den = self.handle.fiber(k_child, self.positions[-1])
-            total = sum(nums)
-            draw = xi_raw(self.key, (k_child,)) >> 11
-            # exact threshold selection: child c owns [cum, cum + num)/total
-            target = draw * total
-            cum = 0
-            chosen = positions[-1]
-            for pos, num in zip(positions, nums):
-                cum += num << 53
-                if target < cum:
-                    chosen = pos
-                    break
-            self.positions.append(chosen)
+            k, pos = len(self.positions), self.positions[-1]
+            a, b = self.handle.split(k, pos)
+            if (xi_raw(self.key, (k,)) >> 11) * (a + b) >= a << 53:  # the second child
+                pos = (1 << k) - 2 if pos == STAR else pos + (1 << (k - 1)) - 1
+            self.positions.append(pos)
 
     def position(self, k: int) -> int:
         self.extend_to(k)
@@ -1017,8 +1002,14 @@ def sample_structure(handle: LimitHandle, m: int, depth: int, seed: SeedKey,
     a stage-`depth` cell, so a snapshot that reads deeper also names the
     symbols that separate them. If two points still collide `max_extra`
     levels past `depth`, the colliding pair is reported instead of
-    guessing.
+    guessing. More points than stage MAX_STAGE has elements fit in no
+    stage, and are refused before any point is drawn.
     """
+    if m > 2**MAX_STAGE - 1:
+        raise StageCeilingError(
+            f"{m} points fit in no stage up to the ceiling: stage {MAX_STAGE}"
+            f" has {2**MAX_STAGE - 1} elements"
+        )
     points = [PathPoint(handle, seed.child("point", i)) for i in range(m)]
     level = depth
     while True:
@@ -1185,76 +1176,63 @@ class Weight:
 
 
 class RescaledHandle:
-    """View of a built limit with the measure reweighted on one stage.
+    """View of a built limit with the measure reweighted on one stage K.
 
-    Each cell's total mass is scaled to its target; the conditional
-    distribution inside every cell — and inside every fiber at or past
-    the weight's stage, where the multiplier is constant — is left
-    untouched. Levels above the weight's stage take the reweighted
-    masses pushed down through the fibers.
+    Every stage-K element and the reservoir weigh 1/2^K, so each of the
+    |c| members of cell c gets the mass masses[c] / |c|: the conditional
+    distribution inside every cell is left untouched. Those masses are
+    integer weights over one common denominator, and the masses of the
+    stages below K are their sums down the stage tree. A path level up
+    to K splits its position's mass as those weights do; past K both
+    children sit in one cell and split evenly, as on the base build.
     """
 
     def __init__(self, base: LimitHandle, weight: Weight):
-        st = base.stage(weight.stage)
-        if len(weight.assignment) != st.size:
+        if len(weight.assignment) != base.stage(weight.stage).size:
             raise LimitError("weight partition does not match the stage")
         self.base = base
         self.weight = weight
+        counts = np.bincount([*weight.assignment, weight.star_cell], minlength=len(weight.labels))
+        each = [Fraction(mass) / int(n) for mass, n in zip(weight.masses, counts)]
+        den = lcm(*(f.denominator for f in each))
+        self._cell_weights = np.array([f.numerator * (den // f.denominator) for f in each],
+                                      dtype=object)
 
-        cell_mass = [Fraction(0)] * len(weight.labels)
-        for pos, cell in enumerate(weight.assignment):
-            cell_mass[cell] += st.mass(pos)
-        cell_mass[weight.star_cell] += st.mass(STAR)
-        if any(v == 0 for v in cell_mass):
-            raise LimitError("empty cell cannot receive mass")
-        self.multipliers = tuple(
-            weight.masses[c] / cell_mass[c] for c in range(len(weight.labels))
-        )
-
-        # exact masses at the weight's stage, then summed down the fibers
-        self._levels: list[tuple[list[int], int, int]] = [None] * (weight.stage + 1)
-        self._levels[weight.stage] = self.level_masses(weight.stage)
-        for k in range(weight.stage - 1, -1, -1):
-            child = base.stage(k + 1)
-            sums = [
-                sum(_fiber(child, pos, *self._levels[k + 1])[1])
-                for pos in (*range(base.stage(k).size), STAR)
-            ]
-            self._levels[k] = (sums[:-1], sums[-1], self._levels[k + 1][2])
+        # (element weights, reservoir weight, denominator) per stage k <= K:
+        # a stage-(k-1) position weighs its two stage-k children together
+        nums = self._cell_weights[np.array(weight.assignment, dtype=np.int64)]
+        star = self._cell_weights[weight.star_cell]
+        self._levels = [(nums, star, den)]
+        for k in range(weight.stage, 0, -1):
+            h = (1 << (k - 1)) - 1
+            nums, star = nums[:h] + nums[h:2 * h], star + nums[2 * h]
+            self._levels.append((nums, star, den))
+        self._levels.reverse()
 
     def __getattr__(self, name):
         # stages, the schedule, the theory and the guide come from the base build
         return getattr(self.base, name)
 
-    def cell_of(self, k: int, pos: int) -> int:
-        """Weight cell owning a stage-k position (k >= the weight's stage)."""
-        if k < self.weight.stage:
-            raise LimitError("positions below the weight's stage span cells")
-        while k > self.weight.stage:
-            st = self.base.stage(k)
-            pos = st.parent_position(pos)
-            if pos == STAR:
-                return self.weight.star_cell
-            k -= 1
-        return self.weight.assignment[pos] if pos != STAR else self.weight.star_cell
-
-    def fiber(self, k_child: int, parent_pos: int):
-        if k_child > self.weight.stage:
-            # past the weight's stage every fiber sits inside one cell,
-            # so the multiplier cancels from the conditional draw
-            return self.base.fiber(k_child, parent_pos)
-        return _fiber(self.base.stage(k_child), parent_pos, *self._levels[k_child])
+    def split(self, k: int, parent_pos: int) -> tuple[int, int]:
+        if k > self.weight.stage:
+            return self.base.split(k, parent_pos)
+        nums, star, _den = self._levels[k]
+        if parent_pos == STAR:
+            return star, nums[-1]
+        return nums[parent_pos], nums[parent_pos + len(nums) // 2]
 
     def level_masses(self, k: int) -> tuple[list[int], int, int]:
-        if k < self.weight.stage:
+        K = self.weight.stage
+        self.base.advance_to(k)
+        if k <= K:
             nums, star, den = self._levels[k]
-            return list(nums), star, den
-        st = self.base.stage(k)
-        fracs = [st.mass(pos) * self.multipliers[self.cell_of(k, pos)] for pos in range(st.size)]
-        fracs.append(st.mass(STAR) * self.multipliers[self.weight.star_cell])
-        den = lcm(*(f.denominator for f in fracs))
-        nums = [int(f * den) for f in fracs]
-        return nums[:-1], nums[-1], den
+            return nums.tolist(), star, den
+        # past K, copies take their origin's cell and new elements the reservoir's
+        cells = np.array(self.weight.assignment, dtype=np.int64)
+        for _ in range(K, k):
+            cells = np.concatenate([cells, cells, [self.weight.star_cell]])
+        star = self._cell_weights[self.weight.star_cell]
+        return self._cell_weights[cells].tolist(), star, self._levels[K][2] << (k - K)
 
 
 def rescale(handle: LimitHandle, weight: Weight) -> RescaledHandle:
@@ -1295,10 +1273,9 @@ def weight_by_level(handle: LimitHandle, stage: int, level: int = 0,
 def weight_identity(handle: LimitHandle, stage: int, level: int = 0) -> Weight:
     """Same partition as weight_by_level but targeting the current masses."""
     st, assignment, labels = _level_partition(handle, stage, level)
-    cell_mass = [Fraction(0), Fraction(0), st.mass(STAR)]
-    for pos, cell in enumerate(assignment):
-        cell_mass[cell] += st.mass(pos)
-    return Weight(stage, labels, assignment, star_cell=2, masses=tuple(cell_mass))
+    counts = np.bincount([*assignment, 2]).tolist()  # every element and the reservoir weigh 1/2^k
+    return Weight(stage, labels, assignment, star_cell=2,
+                  masses=tuple(Fraction(n, st.den) for n in counts))
 
 
 WEIGHT_PRESETS = ("identity", "p0-heavy", "p0-light")
@@ -1317,6 +1294,8 @@ def weight_preset(handle: LimitHandle, name: str, stage: int) -> Weight:
 def estimate_marginal(handle: LimitHandle, level: int, trials: int,
                       seed: SeedKey, depth: int) -> float:
     """Monte Carlo mass of the level-`level` predicate under the handle's law."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
     hits = 0
     for t in range(trials):
         point = PathPoint(handle, seed.child("point", t))

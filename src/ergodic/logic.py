@@ -77,11 +77,6 @@ class Signature:
         return Signature(self.symbols + extra, generator=self.generator)
 
 
-def generated_signature(rule: Callable[[int], tuple[str, int]], prefix: int = 0) -> Signature:
-    sig = Signature((), generator=rule)
-    return sig.materialize(prefix) if prefix else sig
-
-
 Fact = tuple[int, tuple[int, ...]]
 
 

@@ -147,6 +147,17 @@ def test_depth_past_the_stage_ceiling_exits_3(capsys, argv):
     assert err.startswith("error:") and "ceiling" in err and err.count("\n") == 1
 
 
+def test_more_points_than_any_stage_holds_exits_3(capsys):
+    # 2^22 points fit in no stage up to the ceiling: refused before any point is drawn
+    run(capsys, ["build-limit", "--stages", "3", "--out", "b3.json", *SEED_ARGS])
+    code = main(["limit-sample", "--manifest", "b3.json", "-n", "4194304", "--depth", "1",
+                 *SEED_ARGS])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "ceiling" in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_collide_flags_bad_expectation(capsys):
     base = ["collide", "--sampler", "kaleidoscope:k=2,d=2", "-n", "2",
             "--trials", "1500", *SEED_ARGS]

@@ -35,6 +35,15 @@ CASES = [
     ("rescale.jsonl", ["rescale", "--manifest", "build_a.json", "--preset", "p0-heavy",
                        "--trials", "2000", "--seed", SEED_A], 0,
      "041a84e39ffd80dbc5e9253ad83e8a15a6c44926"),
+    # the weight below the build's depth: paths split evenly past the weight's stage
+    ("rescale_stage5_light.jsonl", ["rescale", "--manifest", "build_a.json", "--stage", "5",
+                                    "--preset", "p0-light", "--trials", "2000",
+                                    "--seed", SEED_B], 0,
+     "e8ddac77a98654b067c4d51e7934099419bb192b"),
+    ("rescale_stage5_identity.jsonl", ["rescale", "--manifest", "build_a.json", "--stage", "5",
+                                       "--preset", "identity", "--trials", "2000",
+                                       "--seed", SEED_A], 0,
+     "aba744a877bc7f27f779bd9d82c264fef253f1b1"),
     ("sample.jsonl", ["sample", "--sampler", "kaleidoscope:k=2,d=3", "-n", "8",
                       "--seed", SEED_A], 0,
      "202a946ac17058fe5f550c76480042189a11b4a7"),

@@ -126,16 +126,23 @@ def test_all_stage_invariants_pass(handle8):
 
 
 def test_fibers_push_mass_forward(handle8):
-    for k in (2, 3, 5):
-        prev, nxt = handle8.stages[k - 1], handle8.stages[k]
-        for p in range(prev.size):
-            positions, nums, den = handle8.fiber(k, p)
-            assert sum(Fraction(n, den) for n in nums) == prev.mass(p)
-            assert all(q == p or q >= prev.size for q in positions)
-        positions, nums, den = handle8.fiber(k, STAR)
-        got = sum(Fraction(n, den) for n in nums)
-        assert got == Fraction(prev.star_num, prev.den)
-        assert positions[0] == STAR
+    # a stage-(k-1) position's children are itself and its copy at split + p,
+    # the reservoir's are the reservoir and the new element 2^k - 2
+    scaled = rescale(handle8, weight_preset(handle8, "p0-heavy", 4))
+    # cells by parity put an origin and its copy in different cells
+    parity = Weight(4, ("even", "odd", "reservoir"), tuple(p % 2 for p in range(15)), 2,
+                    (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+    for handle in (handle8, scaled, rescale(handle8, parity)):
+        for k in range(2, 6):
+            nums, star, den = handle.level_masses(k - 1)
+            parents = [Fraction(v, den) for v in nums] + [Fraction(star, den)]
+            nums, star, den = handle.level_masses(k)
+            half = len(nums) // 2
+            children = [(nums[p], nums[half + p]) for p in range(half)] + [(star, nums[-1])]
+            for p, parent, (a, b) in zip([*range(half), STAR], parents, children):
+                assert Fraction(a + b, den) == parent
+                x, y = handle.split(k, p)
+                assert x * b == y * a and x > 0 and y > 0
 
 
 def test_tampered_mass_is_caught(handle8):
@@ -384,6 +391,19 @@ def test_heavy_light_presets_split_the_level_mass():
     want = (1 - 2**-6) / 2  # (3/4 - 1/4) of the non-reservoir mass
     sigma = (0.25 / trials) ** 0.5 * 2**0.5
     assert abs((a - b) - want) < 5 * sigma
+
+
+def test_marginal_refuses_nonpositive_trials(handle8):
+    for trials in (0, -5):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            estimate_marginal(handle8, 0, trials, SEED.child("m"), 8)
+
+
+def test_snapshot_larger_than_any_stage_is_refused_before_drawing():
+    h = LimitHandle(SEED)
+    with pytest.raises(StageCeilingError):
+        sample_structure(h, 2**MAX_STAGE, 1, SEED.child("many"))
+    assert h.depth == 0 and not h.guide.routed
 
 
 def test_rescaled_masses_stay_normalized(handle8):

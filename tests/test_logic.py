@@ -20,7 +20,6 @@ from ergodic.logic import (
     _layout,
     eval_qf,
     fingerprint_tables,
-    generated_signature,
     num_vars,
     pack_atoms,
     qf_fingerprint,
@@ -58,7 +57,7 @@ def test_signature_rejects_duplicates_and_bad_arity():
 
 
 def test_generated_signature_materializes_on_demand():
-    sig = generated_signature(lambda k: (f"R{k}", 2))
+    sig = Signature((), generator=lambda k: (f"R{k}", 2))
     assert len(sig) == 0
     wide = sig.materialize(4)
     assert wide.symbols[3] == ("R3", 2)
