@@ -177,6 +177,17 @@ def _int_at_least(low: int):
     return parse
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+_finite_float.__name__ = "float"  # named in argparse's "invalid float value" message
+
+
 def _int_list(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split())
@@ -235,9 +246,9 @@ def _cmd_invariance(args):
     phi = _formula(args.phi, sampler.signature)
     try:
         sigma = Permutation(_int_list(args.sigma, "--sigma"))
-    except (LogicError, ValueError) as exc:
+        rep = invariance_test(sampler, phi, sigma, args.trials, _seed(args))
+    except LogicError as exc:
         raise UsageError(f"bad --sigma: {exc}")
-    rep = invariance_test(sampler, phi, sigma, args.trials, _seed(args))
     rows = [
         _stat_row(rep.at_identity),
         _stat_row(rep.at_permuted),
@@ -518,14 +529,14 @@ def build_parser() -> _Parser:
     p.add_argument("--sampler", required=True)
     p.add_argument("--phi", required=True)
     p.add_argument("--psi", required=True)
-    p.add_argument("--z-limit", type=float, default=3.0)
+    p.add_argument("--z-limit", type=_finite_float, default=3.0)
 
     p = add("invariance", _cmd_invariance, trials=True,
             help="compare an event at a permuted tuple")
     p.add_argument("--sampler", required=True)
     p.add_argument("--phi", required=True)
     p.add_argument("--sigma", required=True, help='permutation image, e.g. "1 0 2"')
-    p.add_argument("--z-limit", type=float, default=3.0)
+    p.add_argument("--z-limit", type=_finite_float, default=3.0)
 
     p = add("coherence", _cmd_coherence, trials=True, help="exact restriction/equivariance check")
     p.add_argument("--sampler", required=True)
@@ -535,8 +546,8 @@ def build_parser() -> _Parser:
     p = add("collide", _cmd_collide, trials=True, help="two-block fingerprint collision rate")
     p.add_argument("--sampler", required=True)
     p.add_argument("-n", type=_int_at_least(1), default=1)
-    p.add_argument("--expect", type=float, default=None)
-    p.add_argument("--z-limit", type=float, default=3.0)
+    p.add_argument("--expect", type=_finite_float, default=None)
+    p.add_argument("--z-limit", type=_finite_float, default=3.0)
 
     p = add("roots", _cmd_roots, help="rootedness sweep over one sampled structure")
     p.add_argument("--sampler", required=True)
@@ -547,7 +558,7 @@ def build_parser() -> _Parser:
     p = add("postypes", _cmd_postypes, trials=True, help="positive-frequency fingerprint spectrum")
     p.add_argument("--sampler", required=True)
     p.add_argument("--arity", type=_int_at_least(0), required=True)
-    p.add_argument("--epsilon", type=float, default=0.05)
+    p.add_argument("--epsilon", type=_finite_float, default=0.05)
 
     p = add("morleyize", _cmd_morleyize, help="emit defining axioms for a fragment")
     p.add_argument("--base", required=True, help='base signature, e.g. "P/1,E/2"')

@@ -21,6 +21,7 @@ from typing import Iterator
 
 from .logic import (
     FiniteStructure,
+    LogicError,
     Permutation,
     QfFormula,
     Signature,
@@ -242,7 +243,7 @@ def invariance_test(
     m = num_vars(phi)
     n = len(sigma)
     if n < m:
-        raise ValueError("permutation acts on fewer points than phi uses")
+        raise LogicError("permutation acts on fewer points than phi uses")
     image = tuple(sigma.mapping[i] for i in range(m))
 
     # d = a - b per trial: its sum is ca - cb, and d * d = 1 exactly where a != b

@@ -42,6 +42,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import repeat
 from math import lcm
+from operator import or_
 
 import numpy as np
 
@@ -63,6 +64,7 @@ from .morley import (
     canonical_vars,
     morleyize,
     parse_fragment,
+    parts,
 )
 from .seeds import BITS_PER_STREAM, SeedKey, xi_raw, xi_words
 
@@ -198,23 +200,18 @@ class BuildTheory:
 def _formula_bits(phi: Fragment) -> int:
     """Predicate levels read by structural evaluation of a node formula.
 
-    Scheme, equality, and quantified nodes are evaluated from element
-    identity or held constant, so they read no bits at all. Any other
-    fragment is refused: the type-preservation audit trusts this mask to
-    name every level a symbol reads.
+    Conjunctive scheme, equality, and quantified nodes are evaluated from
+    element identity or held constant, so they read no bits at all. A
+    disjunctive scheme is refused: the type-preservation audit trusts
+    this mask to name every level a symbol reads.
     """
     if isinstance(phi, FAtom):
         return 1 << int(phi.rel.resolved()[1:])
-    if isinstance(phi, FNot):
-        return _formula_bits(phi.sub)
-    if isinstance(phi, (FAnd, FOr)):
-        out = 0
-        for s in phi.subs:
-            out |= _formula_bits(s)
-        return out
+    if isinstance(phi, FSchemeOr):
+        raise GuideError(f"no level mask for {phi!r}")
     if isinstance(phi, (FEq, FSchemeAnd, FForall, FExists)):
         return 0
-    raise GuideError(f"no level mask for {phi!r}")
+    return reduce(or_, map(_formula_bits, parts(phi)), 0)
 
 
 def build_theory(base_depth: int = 4) -> BuildTheory:
@@ -346,9 +343,9 @@ class KaleidoscopePredicateGuide:
     Every other bit is the handle's own, from one keyed PRF word per 53
     levels. Each word is decided on first read, for a whole array of
     handles at once (`words`), and held in one plane per word index.
-    Relation queries evaluate the node formulas structurally
-    over bits; the scheme node and equality are answered from handle
-    identity, and quantified nodes are constants. Those
+    Relations are answered by `_fact_array`, the one evaluator of node
+    formulas over bits: the scheme node and equality are answered from
+    handle identity, and quantified nodes are constants. Those
     identity/constant answers are sound for every finite query set: no
     finite collection of bits can certify that two distinct handles
     agree at all levels.
@@ -362,7 +359,6 @@ class KaleidoscopePredicateGuide:
         # word planes: _planes[w][u] holds handle u's levels 53w .. 53w+52
         # (bit n is level 53w+n), plus _DECIDED once they are decided
         self._planes: list[np.ndarray] = []
-        self._env_cache: dict[int, tuple[str, ...]] = {}
 
     # -- bits ----------------------------------------------------------------
 
@@ -418,42 +414,11 @@ class KaleidoscopePredicateGuide:
     # -- relations -----------------------------------------------------------
 
     def fact(self, sym: int, handles: tuple[int, ...]) -> bool:
-        kind, n = self.theory.classify(sym)
-        if kind == "pred":
-            return self.bit(handles[0], n) == 1
-        if kind == "riff":
-            return self.bit(handles[0], n) == self.bit(handles[1], n)
-        node = self.theory.result.nodes[n]
-        env_vars = self._env_cache.get(n)
-        if env_vars is None:
-            env_vars = canonical_vars(node.formula)
-            self._env_cache[n] = env_vars
-        if len(env_vars) != len(handles):
-            raise GuideError(f"arity mismatch for {node.name}")
-        return self._eval(node.formula, dict(zip(env_vars, handles)))
-
-    def _eval(self, phi: Fragment, env: dict) -> bool:
-        if isinstance(phi, FAtom):
-            level = int(phi.rel.resolved()[1:])
-            return self.bit(env[phi.args[0]], level) == 1
-        if isinstance(phi, FEq):
-            return env[phi.left] == env[phi.right]
-        if isinstance(phi, FNot):
-            return not self._eval(phi.sub, env)
-        if isinstance(phi, FAnd):
-            return all(self._eval(s, env) for s in phi.subs)
-        if isinstance(phi, FOr):
-            return any(self._eval(s, env) for s in phi.subs)
-        if isinstance(phi, FSchemeAnd):
-            # total agreement collapses to identity: distinct handles
-            # differ at some level with certainty under the bit model
-            return len(set(env[v] for v in canonical_vars(phi))) == 1
-        if isinstance(phi, (FForall, FExists)):
-            # closed under the guided theory; constant on all elements
-            return True
-        if isinstance(phi, FSchemeOr):
-            raise GuideError("disjunctive schemes are outside this guide's theory")
-        raise GuideError(f"cannot evaluate {phi!r}")
+        """Whether symbol sym holds of the handles: one cell of `_fact_array`."""
+        table = _fact_array(self, self.theory, sym, handles)
+        if table.ndim != len(handles):
+            raise GuideError(f"symbol {sym} has arity {table.ndim}, not {len(handles)}")
+        return bool(table[tuple(range(len(handles)))])
 
     # -- separation ------------------------------------------------------------
 
@@ -551,13 +516,6 @@ class Stage:
     @property
     def uids(self) -> range:
         return range(self.size)
-
-    def parent_position(self, pos: int) -> int:
-        if pos < self.split:
-            return pos
-        if pos < 2 * self.split:
-            return pos - self.split
-        return STAR
 
     def mass(self, pos: int) -> Fraction:
         if pos == STAR:
@@ -925,7 +883,9 @@ def _fact_array(guide: KaleidoscopePredicateGuide, theory: BuildTheory,
     """Relation table over the handles `uids`, vectorized per symbol class.
 
     Returns a scalar (arity 0), a vector (arity 1) or a matrix (arity 2)
-    whose entry at positions (i, j) is guide.fact(sym, (uids[i], uids[j])).
+    whose entry at positions (i, j) says whether sym holds of
+    (uids[i], uids[j]). This is the one evaluator of node formulas over
+    the guide's bits.
     """
     kind, n = theory.classify(sym)
     if kind == "pred":
@@ -947,16 +907,16 @@ def _fact_array(guide: KaleidoscopePredicateGuide, theory: BuildTheory,
                 return v
             return v[:, None] if var_axis[phi.args[0]] == 0 else v[None, :]
         if isinstance(phi, (FEq, FSchemeAnd)):
-            # the guide answers both from handle identity
+            # equality, and total agreement too: distinct handles differ
+            # at some level with certainty under the bit model
             return handles[:, None] == handles[None, :]
+        if isinstance(phi, (FForall, FExists)):
+            # closed under the guided theory; constant on all elements
+            return np.ones((size,) * arity, dtype=bool)
         if isinstance(phi, FNot):
             return ~rec(phi.sub)
-        if isinstance(phi, (FAnd, FOr)):
-            join = np.logical_and if isinstance(phi, FAnd) else np.logical_or
-            return reduce(join, map(rec, phi.subs))
-        if isinstance(phi, (FForall, FExists)):
-            return np.ones((size,) * arity, dtype=bool)
-        raise GuideError(f"cannot tabulate {phi!r}")
+        return reduce(np.logical_and if isinstance(phi, FAnd) else np.logical_or,
+                      map(rec, parts(phi)))
 
     return np.broadcast_to(rec(node.formula), (size,) * arity)
 

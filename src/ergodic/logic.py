@@ -180,6 +180,10 @@ class Eq(QfFormula):
     left: int
     right: int
 
+    def __post_init__(self) -> None:
+        if self.left < 0 or self.right < 0:
+            raise LogicError("variable indices must be nonnegative")
+
 
 @dataclass(frozen=True)
 class Not(QfFormula):
@@ -385,13 +389,6 @@ class TypeFingerprint:
     def has(self, sub_pos: int, args: tuple[int, ...]) -> bool:
         """Atom value for the sublanguage symbol at position sub_pos."""
         return bool(self.bits >> _atom_bit(self.arity, self.arities, sub_pos, args) & 1)
-
-    def eq_bit(self, i: int, j: int) -> bool:
-        if i == j:
-            return True
-        if i > j:
-            i, j = j, i
-        return bool(self.bits >> _eq_bit(self.arity, self.arities, i, j) & 1)
 
     def reindexed(self, coords: tuple[int, ...]) -> "TypeFingerprint":
         """Fingerprint of the tuple b with b[x] = a[coords[x]].

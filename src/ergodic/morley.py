@@ -19,13 +19,19 @@ every subformula in the closure and emits:
 
 Evaluation of scheme nodes on finite structures uses the materialized
 prefix only; this truncation is the module's documented semantic cut.
+
+Which field of a node holds its subformulas is known to two functions
+only: `parts` returns a node's immediate subformulas, left to right,
+and `map_parts` rebuilds the node with a function applied to each.
+Every walker over the AST recurses through them and spells out only
+the node kinds whose meaning is its own.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 from . import sexpr
@@ -129,6 +135,31 @@ Fragment = (
 )
 
 
+def parts(phi: Fragment) -> tuple[Fragment, ...]:
+    """The immediate subformulas of a fragment node, left to right."""
+    if isinstance(phi, (FAnd, FOr)):
+        return phi.subs
+    if isinstance(phi, (FNot, FForall, FExists)):
+        return (phi.sub,)
+    if isinstance(phi, (FSchemeAnd, FSchemeOr)):
+        return (phi.body,)
+    if isinstance(phi, (FAtom, FEq)):
+        return ()
+    raise MorleyError(f"not a fragment formula: {phi!r}")
+
+
+def map_parts(phi: Fragment, f) -> Fragment:
+    """phi with f applied to each immediate subformula."""
+    if isinstance(phi, (FAnd, FOr)):
+        return type(phi)(tuple(map(f, phi.subs)))
+    if isinstance(phi, (FNot, FForall, FExists)):
+        return replace(phi, sub=f(phi.sub))
+    if isinstance(phi, (FSchemeAnd, FSchemeOr)):
+        return replace(phi, body=f(phi.body))
+    parts(phi)  # a leaf, or refused
+    return phi
+
+
 def canonical_vars(phi: Fragment) -> tuple[str, ...]:
     """Free variables in first-occurrence (left-to-right) order.
 
@@ -136,28 +167,17 @@ def canonical_vars(phi: Fragment) -> tuple[str, ...]:
     to the formula; unlike a name sort it is stable under renaming the
     free variables, so alpha-variant formulas share one symbol.
     """
-    seen: list[str] = []
+    seen: dict[str, None] = {}  # an insertion-ordered set
 
     def walk(sub: Fragment, bound: frozenset[str]) -> None:
-        if isinstance(sub, FAtom):
-            for a in sub.args:
-                if a not in bound and a not in seen:
-                    seen.append(a)
-        elif isinstance(sub, FEq):
-            for a in (sub.left, sub.right):
-                if a not in bound and a not in seen:
-                    seen.append(a)
-        elif isinstance(sub, FNot):
-            walk(sub.sub, bound)
-        elif isinstance(sub, (FAnd, FOr)):
-            for s in sub.subs:
-                walk(s, bound)
-        elif isinstance(sub, (FForall, FExists)):
-            walk(sub.sub, bound | {sub.var})
-        elif isinstance(sub, (FSchemeAnd, FSchemeOr)):
-            walk(sub.body, bound)
-        else:
-            raise MorleyError(f"not a fragment formula: {sub!r}")
+        if isinstance(sub, (FAtom, FEq)):
+            leaf = sub.args if isinstance(sub, FAtom) else (sub.left, sub.right)
+            seen.update((a, None) for a in leaf if a not in bound)
+            return
+        if isinstance(sub, (FForall, FExists)):
+            bound = bound | {sub.var}
+        for s in parts(sub):
+            walk(s, bound)
 
     walk(phi, frozenset())
     return tuple(seen)
@@ -170,19 +190,9 @@ def _map_index_var(phi: Fragment, ivar: str, ref) -> Fragment:
     """
     if isinstance(phi, FAtom):
         return FAtom(ref(phi.rel.base), phi.args) if phi.rel.index_var == ivar else phi
-    if isinstance(phi, FEq):
+    if isinstance(phi, (FSchemeAnd, FSchemeOr)) and phi.index_var == ivar:
         return phi
-    if isinstance(phi, FNot):
-        return FNot(_map_index_var(phi.sub, ivar, ref))
-    if isinstance(phi, (FAnd, FOr)):
-        return type(phi)(tuple(_map_index_var(s, ivar, ref) for s in phi.subs))
-    if isinstance(phi, (FForall, FExists)):
-        return type(phi)(phi.var, _map_index_var(phi.sub, ivar, ref))
-    if isinstance(phi, (FSchemeAnd, FSchemeOr)):
-        if phi.index_var == ivar:
-            return phi
-        return type(phi)(phi.index_var, phi.prefix_len, _map_index_var(phi.body, ivar, ref))
-    raise MorleyError(f"not a fragment formula: {phi!r}")
+    return map_parts(phi, lambda s: _map_index_var(s, ivar, ref))
 
 
 def scheme_instance(phi: FSchemeAnd | FSchemeOr, i: int) -> Fragment:
@@ -201,26 +211,16 @@ def _canonicalize(phi: Fragment, env: dict[str, str], counters: list[int]) -> Fr
         return FAtom(phi.rel, tuple(env[a] for a in phi.args))
     if isinstance(phi, FEq):
         return FEq(env[phi.left], env[phi.right])
-    if isinstance(phi, FNot):
-        return FNot(_canonicalize(phi.sub, env, counters))
-    if isinstance(phi, FAnd):
-        return FAnd(tuple(_canonicalize(s, env, counters) for s in phi.subs))
-    if isinstance(phi, FOr):
-        return FOr(tuple(_canonicalize(s, env, counters) for s in phi.subs))
     if isinstance(phi, (FForall, FExists)):
         fresh = f"b{counters[0]}"
         counters[0] += 1
-        inner = dict(env)
-        inner[phi.var] = fresh
-        cls = type(phi)
-        return cls(fresh, _canonicalize(phi.sub, inner, counters))
+        return type(phi)(fresh, _canonicalize(phi.sub, {**env, phi.var: fresh}, counters))
     if isinstance(phi, (FSchemeAnd, FSchemeOr)):
         fresh = f"i{counters[1]}"
         counters[1] += 1
         body = _map_index_var(phi.body, phi.index_var, lambda base: RelRef(base, fresh))
-        cls = type(phi)
-        return cls(fresh, phi.prefix_len, _canonicalize(body, env, counters))
-    raise MorleyError(f"not a fragment formula: {phi!r}")
+        return type(phi)(fresh, phi.prefix_len, _canonicalize(body, env, counters))
+    return map_parts(phi, lambda s: _canonicalize(s, env, counters))
 
 
 def canonical_form(phi: Fragment) -> Fragment:
@@ -290,30 +290,26 @@ def fragment_from_tree(tree) -> Fragment:
     raise MorleyError(f"unknown form {head!r}")
 
 
+_HEADS = {
+    FAtom: "rel", FEq: "eq", FNot: "not", FAnd: "and", FOr: "or", FForall: "forall",
+    FExists: "exists", FSchemeAnd: "schemeAnd", FSchemeOr: "schemeOr",
+}
+
+
 def fragment_to_tree(phi: Fragment):
+    subs = [fragment_to_tree(s) for s in parts(phi)]
     if isinstance(phi, FAtom):
-        if phi.rel.index_var is not None:
-            ref = [phi.rel.base, phi.rel.index_var]
-        else:
-            ref = phi.rel.base
-        return ["rel", ref, *phi.args]
-    if isinstance(phi, FEq):
-        return ["eq", phi.left, phi.right]
-    if isinstance(phi, FNot):
-        return ["not", fragment_to_tree(phi.sub)]
-    if isinstance(phi, FAnd):
-        return ["and", *(fragment_to_tree(s) for s in phi.subs)]
-    if isinstance(phi, FOr):
-        return ["or", *(fragment_to_tree(s) for s in phi.subs)]
-    if isinstance(phi, FForall):
-        return ["forall", phi.var, fragment_to_tree(phi.sub)]
-    if isinstance(phi, FExists):
-        return ["exists", phi.var, fragment_to_tree(phi.sub)]
-    if isinstance(phi, FSchemeAnd):
-        return ["schemeAnd", phi.index_var, str(phi.prefix_len), fragment_to_tree(phi.body)]
-    if isinstance(phi, FSchemeOr):
-        return ["schemeOr", phi.index_var, str(phi.prefix_len), fragment_to_tree(phi.body)]
-    raise MorleyError(f"not a fragment formula: {phi!r}")
+        rel = phi.rel.base if phi.rel.index_var is None else [phi.rel.base, phi.rel.index_var]
+        labels = [rel, *phi.args]
+    elif isinstance(phi, FEq):
+        labels = [phi.left, phi.right]
+    elif isinstance(phi, (FForall, FExists)):
+        labels = [phi.var]
+    elif isinstance(phi, (FSchemeAnd, FSchemeOr)):
+        labels = [phi.index_var, str(phi.prefix_len)]
+    else:
+        labels = []
+    return [_HEADS[type(phi)], *labels, *subs]
 
 
 def parse_fragment(text: str) -> Fragment:
@@ -331,34 +327,23 @@ def render_fragment(phi: Fragment) -> str:
 
 def eval_fragment(structure: FiniteStructure, phi: Fragment, env: dict[str, int]) -> bool:
     if isinstance(phi, FAtom):
-        name = phi.rel.resolved()
-        sym = structure.signature.index_of(name)
+        sym = structure.signature.index_of(phi.rel.resolved())
         return structure.holds(sym, tuple(env[a] for a in phi.args))
     if isinstance(phi, FEq):
         return env[phi.left] == env[phi.right]
     if isinstance(phi, FNot):
         return not eval_fragment(structure, phi.sub, env)
-    if isinstance(phi, FAnd):
-        return all(eval_fragment(structure, s, env) for s in phi.subs)
-    if isinstance(phi, FOr):
-        return any(eval_fragment(structure, s, env) for s in phi.subs)
     if isinstance(phi, (FForall, FExists)):
         hits = (
             eval_fragment(structure, phi.sub, {**env, phi.var: e})
             for e in range(structure.domain_size)
         )
-        return all(hits) if isinstance(phi, FForall) else any(hits)
-    if isinstance(phi, FSchemeAnd):
-        return all(
-            eval_fragment(structure, scheme_instance(phi, i), env)
-            for i in range(phi.prefix_len)
-        )
-    if isinstance(phi, FSchemeOr):
-        return any(
-            eval_fragment(structure, scheme_instance(phi, i), env)
-            for i in range(phi.prefix_len)
-        )
-    raise MorleyError(f"not a fragment formula: {phi!r}")
+    elif isinstance(phi, (FSchemeAnd, FSchemeOr)):
+        hits = (eval_fragment(structure, scheme_instance(phi, i), env)
+                for i in range(phi.prefix_len))
+    else:
+        hits = (eval_fragment(structure, s, env) for s in parts(phi))
+    return all(hits) if isinstance(phi, (FAnd, FForall, FSchemeAnd)) else any(hits)
 
 
 # ---------------------------------------------------------------------------
@@ -447,16 +432,12 @@ def subformula_closure(sentences: list[Fragment]) -> list[Fragment]:
     order: list[Fragment] = []
 
     def visit(phi: Fragment) -> None:
-        if isinstance(phi, FNot):
-            visit(phi.sub)
-        elif isinstance(phi, (FAnd, FOr)):
-            for s in phi.subs:
-                visit(s)
-        elif isinstance(phi, (FForall, FExists)):
-            visit(phi.sub)
-        elif isinstance(phi, (FSchemeAnd, FSchemeOr)):
-            for i in range(phi.prefix_len):
-                visit(scheme_instance(phi, i))
+        if isinstance(phi, (FSchemeAnd, FSchemeOr)):
+            subs = (scheme_instance(phi, i) for i in range(phi.prefix_len))
+        else:
+            subs = parts(phi)
+        for s in subs:
+            visit(s)
         canon = canonical_form(phi)
         if canon not in seen:
             seen[canon] = len(order)
@@ -672,18 +653,29 @@ def _qf_to_tree(phi: QfFormula, signature: Signature):
     raise MorleyError(f"not quantifier-free: {phi!r}")
 
 
+_VARIABLE = re.compile(r"x(0|[1-9][0-9]*)")
+
+
+def _var(token) -> int:
+    """The index of a variable token x0, x1, ...; any other spelling is refused."""
+    match = _VARIABLE.fullmatch(token) if isinstance(token, str) else None
+    if match is None:
+        raise MorleyError(f"bad variable {token!r}: want x0, x1, ...")
+    return int(match[1])
+
+
 def _qf_from_tree(tree, signature: Signature) -> QfFormula:
     head = tree[0]
     if head == "rel":
         sym = signature.index_of(tree[1])
-        args = tuple(int(a[1:]) for a in tree[2:])
+        args = tuple(map(_var, tree[2:]))
         if len(args) != signature.arity(sym):
             raise MorleyError(
                 f"{tree[1]} has arity {signature.arity(sym)}, got {len(args)} arguments"
             )
         return Rel(sym, args)
     if head == "eq":
-        return Eq(int(tree[1][1:]), int(tree[2][1:]))
+        return Eq(_var(tree[1]), _var(tree[2]))
     if head == "not":
         return Not(_qf_from_tree(tree[1], signature))
     if head == "and":
@@ -735,45 +727,3 @@ def result_to_json(result: MorleyResult) -> str:
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def result_from_json(text: str) -> MorleyResult:
-    doc = json.loads(text)
-    base = Signature(tuple((s["name"], s["arity"]) for s in doc["base"]))
-    formulas = [parse_fragment(entry["formula"]) for entry in doc["table"]]
-    # Re-deriving the axioms from the stored formulas must reproduce the
-    # stored document exactly; the roundtrip is the integrity check.
-    nodes = tuple(
-        ClosureNode(i, canonical_form(f), doc["table"][i]["name"], doc["table"][i]["arity"])
-        for i, f in enumerate(formulas)
-    )
-    language = Signature(base.symbols + tuple((n.name, n.arity) for n in nodes))
-    axioms = tuple(
-        Axiom(
-            ax["prefix"],
-            _qf_from_tree(sexpr.parse_sexpr(ax["matrix"]), language),
-            ax["kind"],
-            ax["source"],
-            ax["label"],
-        )
-        for ax in doc["axioms"]
-    )
-    qtypes = tuple(
-        QType(
-            q["source"],
-            q["pattern"],
-            q["arity"],
-            tuple(
-                QTypeLiteral(
-                    language.index_of(lit["symbol"]), tuple(lit["args"]), lit["positive"]
-                )
-                for lit in q["literals"]
-            ),
-            q["tail_index_var"],
-            q["tail_body"],
-            q["tail_start"],
-        )
-        for q in doc["qtypes"]
-    )
-    lookup = {node.formula: node.index for node in nodes}
-    return MorleyResult(base, language, nodes, axioms, qtypes, lookup)

@@ -122,6 +122,21 @@ def test_estimate_csv_to_file(capsys):
         # formula arity differs from the symbol's
         ["estimate", "--sampler", "bipartite:i=2,j=2", "--phi", "(rel P x0 x1)"],
         ["estimate", "--sampler", "kaleidoscope:k=3,d=1", "--phi", "(rel R0 x0 x1)"],
+        # variables are x followed by a canonical decimal
+        ["estimate", "--sampler", "maxgraph:d=2", "--phi", "(rel R0 q0 x1)"],
+        ["estimate", "--sampler", "maxgraph:d=2", "--phi", "(rel R0 x0 x+1)"],
+        ["estimate", "--sampler", "maxgraph:d=2", "--phi", "(eq x0 x-1)"],
+        # a permutation on fewer points than the formula uses
+        ["invariance", "--sampler", "maxgraph:d=2", "--phi", "(rel R0 x0 x1)", "--sigma", "0"],
+        # non-finite floats
+        ["postypes", "--sampler", "blowup:d=3", "--arity", "1", "--epsilon", "nan"],
+        ["postypes", "--sampler", "blowup:d=3", "--arity", "1", "--epsilon", "inf"],
+        ["collide", "--sampler", "maxgraph:d=3", "--expect", "nan"],
+        ["collide", "--sampler", "maxgraph:d=3", "--z-limit", "inf"],
+        ["dissoc", "--sampler", "maxgraph:d=2", "--phi", "(rel R0 x0 x1)",
+         "--psi", "(rel R1 x0 x1)", "--z-limit", "nan"],
+        ["invariance", "--sampler", "maxgraph:d=2", "--phi", "(rel R0 x0 x1)", "--sigma", "1 0",
+         "--z-limit", "nan"],
     ],
 )
 def test_usage_errors_exit_3(capsys, argv):

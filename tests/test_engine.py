@@ -15,7 +15,7 @@ from ergodic.engine import (
 )
 from ergodic.fixtures import BrokenSupersetSampler, EmptySampler, IndexKeyedSampler
 from ergodic.gallery import BlowupControl, KaleidoscopeHypergraph, MixtureControl
-from ergodic.logic import And, Eq, Not, Or, Permutation, Rel
+from ergodic.logic import And, Eq, LogicError, Not, Or, Permutation, Rel
 from ergodic.seeds import SeedKey, XiFamily
 from ergodic.stats import collision_stat
 
@@ -109,7 +109,7 @@ def test_invariance_flags_index_keyed_fixture():
 
 
 def test_invariance_needs_enough_points():
-    with pytest.raises(ValueError):
+    with pytest.raises(LogicError, match="fewer points"):
         invariance_test(KaleidoscopeHypergraph(2, 1), EDGE, Permutation((0,)), 10, SEED)
 
 

@@ -16,6 +16,14 @@ SCHEME = (
     "(forall x (forall y (or (not (schemeAnd n 3 (or (and (rel (P n) x) (rel (P n) y))"
     " (and (not (rel (P n) x)) (not (rel (P n) y)))))) (eq x y))))"
 )
+# a disjunctive scheme around an existential and a nested scheme that rebinds
+# its index variable; the second sentence is an alpha-variant of the first
+MIXED = [
+    "(forall x (schemeOr n 2 (and (rel (P n) x)"
+    " (exists y (schemeAnd n 2 (or (rel (P n) y) (not (eq x y))))))))",
+    "(forall z (schemeOr m 2 (and (rel (P m) z)"
+    " (exists w (schemeAnd m 2 (or (rel (P m) w) (not (eq z w))))))))",
+]
 
 # (output file, argv, exit code, git-blob hash of the output), run in order:
 # the later cases read the build manifest the first one writes.
@@ -29,6 +37,9 @@ CASES = [
      "2baa4b24925fbd7afb831a080a9e00e1f24a3b9a"),
     ("morley_scheme.json", ["morleyize", "--base", "P0/1,P1/1,P2/1", "--sentence", SCHEME], 0,
      "0c775b49eab4fad8533b9f6e3be167fde9799751"),
+    ("morley_mixed.json", ["morleyize", "--base", "P0/1,P1/1", "--sentence", MIXED[0],
+                           "--sentence", MIXED[1]], 0,
+     "91e5eb2a4e559d80aec945020e5e9e08c991e3ec"),
     ("snapshot.jsonl", ["limit-sample", "--manifest", "build_a.json", "-n", "12",
                         "--depth", "10", "--seed", SEED_B], 0,
      "fa2a3137f31a7b80187256946fe4e4d556bd04c1"),

@@ -21,6 +21,7 @@ from ergodic.limits import (
     Weight,
     _departures,
     _fact_array,
+    _formula_bits,
     build_limit,
     build_manifest,
     build_theory,
@@ -42,7 +43,21 @@ from ergodic.limits import (
     weight_preset,
 )
 from ergodic.logic import And, Eq, FiniteStructure, Not, Or, Rel, eval_qf, implies
-from ergodic.morley import Axiom
+from ergodic.morley import (
+    Axiom,
+    FAnd,
+    FAtom,
+    FEq,
+    FExists,
+    FForall,
+    FNot,
+    FOr,
+    FSchemeAnd,
+    FSchemeOr,
+    MorleyError,
+    RelRef,
+    canonical_vars,
+)
 from ergodic.seeds import BITS_PER_STREAM, SeedKey, XiFamily
 
 SEED = SeedKey.from_hex("00112233445566778899aabbccddeeff")
@@ -82,6 +97,19 @@ def test_symbol_layout(theory):
     assert (kind, level) == ("riff", 9)
     name, arity = theory.language.materialize(theory.tail_start + 2).symbols[-1]
     assert arity == 2  # agreement relations are binary
+
+
+def test_level_masks_or_over_the_parts_and_refuse_the_rest():
+    def atom(n, var="x"):
+        return FAtom(RelRef(f"P{n}"), (var,))
+
+    assert _formula_bits(FOr((FNot(atom(0)), FAnd((atom(3), atom(5, "y")))))) == 0b101001
+    scheme = FSchemeAnd("n", 2, FAtom(RelRef("P", "n"), ("x",)))
+    assert _formula_bits(FAnd((scheme, FEq("x", "y"), FExists("z", atom(1, "z"))))) == 0
+    with pytest.raises(GuideError):
+        _formula_bits(FNot(FSchemeOr("n", 2, atom(0))))
+    with pytest.raises(MorleyError, match="not a fragment formula"):
+        _formula_bits(FAnd((atom(0), Rel(0, (0,)))))
 
 
 def test_build_theory_validates_depth():
@@ -269,13 +297,22 @@ def test_point_marginals_match_masses(handle8):
         assert abs(counts[pos] / trials - want) < 5 * sigma
 
 
+def parent_position(stage, pos: int) -> int:
+    """The stage-(k-1) position that stage-k position pos projects to."""
+    if pos < stage.split:
+        return pos
+    if pos < 2 * stage.split:
+        return pos - stage.split
+    return STAR
+
+
 def test_points_descend_consistently(handle8):
     p = sample_point(handle8, 6, SEED.child("walk"))
     for k in range(1, 7):
         pos = p.position(k)
         if pos == STAR:
             continue
-        parent = handle8.stages[k].parent_position(pos)
+        parent = parent_position(handle8.stages[k], pos)
         assert p.position(k - 1) in (parent, p.position(k - 1))
         assert p.position(k - 1) == parent
 
@@ -325,6 +362,39 @@ def test_snapshot_read_past_its_depth_keeps_the_separating_symbols():
     assert len(set(fps)) == len(fps) == 30
 
 
+def per_fact_answer(guide, sym, handles) -> bool:
+    """One relation answer of the guide, by recursion over the node formula.
+
+    The reference for `_fact_array`: it reads single bits and shares no
+    code with the tables.
+    """
+    kind, n = guide.theory.classify(sym)
+    if kind == "pred":
+        return guide.bit(handles[0], n) == 1
+    if kind == "riff":
+        return guide.bit(handles[0], n) == guide.bit(handles[1], n)
+    node = guide.theory.result.nodes[n]
+    env = dict(zip(canonical_vars(node.formula), handles))
+
+    def holds(phi) -> bool:
+        if isinstance(phi, FAtom):
+            return guide.bit(env[phi.args[0]], int(phi.rel.resolved()[1:])) == 1
+        if isinstance(phi, FEq):
+            return env[phi.left] == env[phi.right]
+        if isinstance(phi, FNot):
+            return not holds(phi.sub)
+        if isinstance(phi, FAnd):
+            return all(holds(s) for s in phi.subs)
+        if isinstance(phi, FOr):
+            return any(holds(s) for s in phi.subs)
+        if isinstance(phi, FSchemeAnd):  # total agreement is identity
+            return len({env[v] for v in canonical_vars(phi)}) == 1
+        assert isinstance(phi, (FForall, FExists))  # closed, and true in the guided theory
+        return True
+
+    return holds(node.formula)
+
+
 def assert_facts_match_the_guide(samp, guide):
     """Every tabulated fact, and every non-fact, equals a per-fact guide answer."""
     struct = samp.structure
@@ -332,9 +402,24 @@ def assert_facts_match_the_guide(samp, guide):
     for local, sym in enumerate(samp.symbol_ids):
         arity = struct.signature.arity(local)
         for args in product(range(struct.domain_size), repeat=arity):
-            if guide.fact(sym, tuple(samp.uids[a] for a in args)):
+            if per_fact_answer(guide, sym, tuple(samp.uids[a] for a in args)):
                 want.add((local, args))
     assert struct.facts == want
+
+
+def test_guide_fact_matches_the_per_fact_answer(handle8):
+    samp = sample_structure(handle8, 5, 6, SEED.child("fact"))
+    guide = handle8.guide
+    kinds = set()
+    for local, sym in enumerate(samp.symbol_ids):
+        kinds.add(guide.theory.classify(sym)[0])
+        arity = samp.tables[local].ndim
+        for handles in product(samp.uids, repeat=arity):
+            got = guide.fact(sym, handles)
+            assert type(got) is bool and got == per_fact_answer(guide, sym, handles)
+        with pytest.raises(GuideError, match="arity"):
+            guide.fact(sym, samp.uids[: arity + 1])
+    assert kinds == {"pred", "riff", "node"}
 
 
 def test_snapshot_facts_match_a_per_fact_oracle(handle8):

@@ -17,6 +17,7 @@ from ergodic.logic import (
     Permutation,
     Rel,
     Signature,
+    _eq_bit,
     _layout,
     eval_qf,
     fingerprint_tables,
@@ -47,6 +48,12 @@ def test_signature_basics():
     assert SIG.index_of("P") == 0
     with pytest.raises(LogicError):
         SIG.index_of("Q")
+
+
+def test_formulas_refuse_negative_variables():
+    for make in (lambda: Rel(0, (0, -1)), lambda: Eq(0, -1), lambda: Eq(-2, 0)):
+        with pytest.raises(LogicError, match="nonnegative"):
+            make()
 
 
 def test_signature_rejects_duplicates_and_bad_arity():
@@ -83,14 +90,22 @@ def test_eval_qf():
     assert num_vars(phi) == 3
 
 
+def eq_bit(fp, i: int, j: int) -> bool:
+    """Whether the fingerprint's type has x_i = x_j."""
+    if i == j:
+        return True
+    i, j = sorted((i, j))
+    return bool(fp.bits >> _eq_bit(fp.arity, fp.arities, i, j) & 1)
+
+
 def test_fingerprint_agrees_with_structure():
     fp = qf_fingerprint(M, (0, 1))
     assert fp.arity == 2
     assert fp.has(0, (0,)) == M.holds(0, (0,))
     assert fp.has(1, (0, 1)) == M.holds(1, (0, 1))
     assert fp.has(1, (1, 0)) == M.holds(1, (1, 0))
-    assert not fp.eq_bit(0, 1)
-    assert fp.eq_bit(1, 1)
+    assert not eq_bit(fp, 0, 1)
+    assert eq_bit(fp, 1, 1)
 
 
 def test_fingerprint_models_matches_eval():
@@ -132,7 +147,7 @@ def test_permuted_matches_rearranged_tuple():
 
 def test_redundant_tuples_carry_eq_bits():
     fp = qf_fingerprint(M, (1, 1))
-    assert fp.eq_bit(0, 1)
+    assert eq_bit(fp, 0, 1)
     assert fp != qf_fingerprint(M, (1, 0))
 
 
@@ -191,7 +206,7 @@ def test_fingerprint_bit_order_is_documented():
                 assert fp.has(si, t) == bool(fp.bits >> k & 1) == holds
             for k, (i, j) in enumerate(pairs, len(atoms)):
                 same = tup[i] == tup[j]
-                assert fp.eq_bit(i, j) == fp.eq_bit(j, i) == bool(fp.bits >> k & 1) == same
+                assert eq_bit(fp, i, j) == eq_bit(fp, j, i) == bool(fp.bits >> k & 1) == same
 
 
 def test_has_refuses_atoms_outside_the_layout():
@@ -202,7 +217,7 @@ def test_has_refuses_atoms_outside_the_layout():
             fp.has(sub_pos, args)
     for i, j in [(0, 3), (-1, 1)]:
         with pytest.raises(LogicError):
-            fp.eq_bit(i, j)
+            eq_bit(fp, i, j)
 
 
 def test_structure_from_fingerprint_roundtrip_mixed_arity():

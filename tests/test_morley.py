@@ -1,26 +1,49 @@
 """Definitional-expansion transform: axiom shapes, roundtrips, omitted types."""
 
+import json
 import random
 
 import pytest
 
-from ergodic.logic import FiniteStructure, Signature
+from ergodic import sexpr
+from ergodic.logic import FiniteStructure, Rel, Signature
 from ergodic.morley import (
     Axiom,
+    ClosureNode,
+    FAnd,
+    FAtom,
+    FEq,
+    FExists,
+    FForall,
+    FNot,
+    FOr,
+    FSchemeAnd,
+    FSchemeOr,
     MorleyError,
+    MorleyResult,
+    QType,
+    QTypeLiteral,
+    RelRef,
+    _canonicalize,
+    _map_index_var,
+    _qf_from_tree,
     axiom_holds,
     canonical_expand,
     canonical_form,
+    canonical_vars,
     check_pi2minus,
+    eval_fragment,
+    fragment_to_tree,
+    map_parts,
     morleyize,
     parse_fragment,
+    parts,
     qtype_prefix_realized,
     reduct,
-    result_from_json,
     result_to_json,
+    subformula_closure,
     verify_reduct_roundtrip,
 )
-from ergodic.logic import Rel
 
 BASE_R = Signature((("R", 2),))
 BASE_P = Signature((("P0", 1), ("P1", 1), ("P2", 1)))
@@ -137,8 +160,6 @@ def test_expansion_satisfies_defining_axioms_always():
         for ax in res.axioms:
             if ax.label == "assert":
                 # the assertion tracks truth of the original sentence exactly
-                from ergodic.morley import eval_fragment
-
                 assert axiom_holds(exp, ax) == eval_fragment(M, sentence, {})
             else:
                 assert axiom_holds(exp, ax)
@@ -179,6 +200,36 @@ def test_pi2minus_rejects_deeper_prefixes():
     assert not check_pi2minus([Axiom("AEA", Rel(0, (0,)), 7, 0, "x")])
 
 
+def result_from_json(text: str) -> MorleyResult:
+    """Rebuild a result from its JSON document, re-deriving each stored axiom's matrix."""
+    doc = json.loads(text)
+    base = Signature(tuple((s["name"], s["arity"]) for s in doc["base"]))
+    nodes = tuple(
+        ClosureNode(i, canonical_form(parse_fragment(entry["formula"])), entry["name"],
+                    entry["arity"])
+        for i, entry in enumerate(doc["table"])
+    )
+    language = Signature(base.symbols + tuple((n.name, n.arity) for n in nodes))
+    axioms = tuple(
+        Axiom(ax["prefix"], _qf_from_tree(sexpr.parse_sexpr(ax["matrix"]), language),
+              ax["kind"], ax["source"], ax["label"])
+        for ax in doc["axioms"]
+    )
+    qtypes = tuple(
+        QType(
+            q["source"], q["pattern"], q["arity"],
+            tuple(
+                QTypeLiteral(language.index_of(lit["symbol"]), tuple(lit["args"]), lit["positive"])
+                for lit in q["literals"]
+            ),
+            q["tail_index_var"], q["tail_body"], q["tail_start"],
+        )
+        for q in doc["qtypes"]
+    )
+    lookup = {node.formula: node.index for node in nodes}
+    return MorleyResult(base, language, nodes, axioms, qtypes, lookup)
+
+
 def test_json_roundtrip_reproduces_result():
     res = morleyize([parse_fragment(SCHEME_AND)], BASE_P)
     back = result_from_json(result_to_json(res))
@@ -195,3 +246,55 @@ def test_arity_budget_is_enforced():
 def test_unknown_base_symbol_is_an_error():
     with pytest.raises(MorleyError):
         morleyize([parse_fragment("(forall x (rel Q x))")], BASE_R)
+
+
+P_X = FAtom(RelRef("P0"), ("x",))
+P_N_Y = FAtom(RelRef("P", "n"), ("y",))
+X_IS_Y = FEq("x", "y")
+# one node of every kind, each with the subformulas it holds
+NODES = [
+    (P_X, ()),
+    (X_IS_Y, ()),
+    (FNot(P_X), (P_X,)),
+    (FAnd((P_X, X_IS_Y, P_N_Y)), (P_X, X_IS_Y, P_N_Y)),
+    (FOr((X_IS_Y, P_X)), (X_IS_Y, P_X)),
+    (FForall("x", P_X), (P_X,)),
+    (FExists("y", X_IS_Y), (X_IS_Y,)),
+    (FSchemeAnd("n", 2, P_N_Y), (P_N_Y,)),
+    (FSchemeOr("n", 3, FNot(P_N_Y)), (FNot(P_N_Y),)),
+]
+
+
+@pytest.mark.parametrize("phi, subs", NODES)
+def test_parts_are_the_immediate_subformulas(phi, subs):
+    assert parts(phi) == subs
+    assert map_parts(phi, lambda s: s) == phi
+    renamed = map_parts(phi, lambda s: FNot(s))
+    assert type(renamed) is type(phi) and parts(renamed) == tuple(FNot(s) for s in subs)
+    if not subs:
+        assert renamed is phi
+
+
+# a quantifier-free formula of the other AST, where a fragment belongs
+ALIEN = Rel(0, (0,))
+WALKERS = {
+    "parts": parts,
+    "map_parts": lambda phi: map_parts(phi, lambda s: s),
+    "canonical_vars": canonical_vars,
+    "_map_index_var": lambda phi: _map_index_var(phi, "m", lambda base: RelRef(base + "7")),
+    "_canonicalize": lambda phi: _canonicalize(phi, {"x": "v0"}, [0, 0]),
+    "subformula_closure": lambda phi: subformula_closure([phi]),
+    "fragment_to_tree": fragment_to_tree,
+    "eval_fragment": lambda phi: eval_fragment(FiniteStructure(BASE_P, 2, frozenset()), phi,
+                                               {"x": 0}),
+}
+
+
+@pytest.mark.parametrize("walker", sorted(WALKERS))
+def test_walkers_refuse_a_non_fragment(walker):
+    # parts and map_parts read one node; the others must reach a nested one
+    nested = [FNot(ALIEN), FOr((P_X, ALIEN)), FForall("y", FAnd((ALIEN,))),
+              FSchemeOr("n", 2, ALIEN)]
+    for phi in [ALIEN] if walker in ("parts", "map_parts") else [ALIEN, *nested]:
+        with pytest.raises(MorleyError, match="not a fragment formula"):
+            WALKERS[walker](phi)
