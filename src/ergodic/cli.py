@@ -23,12 +23,15 @@ from pathlib import Path
 import numpy as np
 
 from .engine import (
+    StatReport,
+    binomial_stderr,
     coherence_check,
     dissociation_test,
     estimate_measure,
     estimate_positive_types,
     invariance_test,
     sample,
+    z_score,
 )
 from .gallery import parse_sampler_spec
 from .limits import (
@@ -177,15 +180,20 @@ def _int_at_least(low: int):
     return parse
 
 
-def _finite_float(text: str) -> float:
-    """argparse type: a float that is neither infinite nor NaN."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
+def _finite_float(low: float = -math.inf, high: float = math.inf, low_open: bool = False):
+    """argparse type: a finite float in [low, high], or in (low, high] when low_open."""
 
+    def parse(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        if value < low or (low_open and value == low) or value > high:
+            bounds = f"{'(' if low_open else '['}{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be in {bounds}, got {value}")
+        return value
 
-_finite_float.__name__ = "float"  # named in argparse's "invalid float value" message
+    parse.__name__ = "float"  # named in argparse's "invalid float value" message
+    return parse
 
 
 def _int_list(text: str, what: str) -> tuple[int, ...]:
@@ -193,12 +201,6 @@ def _int_list(text: str, what: str) -> tuple[int, ...]:
         return tuple(int(tok) for tok in text.split())
     except ValueError as exc:
         raise UsageError(f"bad {what} {text!r}: {exc}")
-
-
-def _stat_row(report, **extra) -> dict:
-    row = report.row()
-    row.update(extra)
-    return row
 
 
 # ---------------------------------------------------------------------------
@@ -223,20 +225,10 @@ def _cmd_dissoc(args):
     sampler = _sampler(args)
     phi = _formula(args.phi, sampler.signature)
     psi = _formula(args.psi, sampler.signature)
-    rep = dissociation_test(sampler, phi, psi, args.trials, _seed(args))
-    rows = [
-        _stat_row(rep.joint),
-        _stat_row(rep.marginal_a),
-        _stat_row(rep.marginal_b),
-        {
-            "statistic": "gap",
-            "estimate": float(rep.gap),
-            "stderr": rep.gap_stderr,
-            "trials": args.trials,
-            "seed_hex": args.seed,
-            "z": rep.z,
-        },
-    ]
+    seed = _seed(args)
+    rep = dissociation_test(sampler, phi, psi, args.trials, seed)
+    gap = StatReport("gap", rep.gap, rep.gap_stderr, args.trials, seed, rep.z)
+    rows = [rep.joint.row(), rep.marginal_a.row(), rep.marginal_b.row(), gap.row()]
     code = EXIT_FLAG if abs(rep.z) > args.z_limit else EXIT_OK
     return code, _format_rows(rows, args.format)
 
@@ -244,23 +236,14 @@ def _cmd_dissoc(args):
 def _cmd_invariance(args):
     sampler = _sampler(args)
     phi = _formula(args.phi, sampler.signature)
+    seed = _seed(args)
     try:
         sigma = Permutation(_int_list(args.sigma, "--sigma"))
-        rep = invariance_test(sampler, phi, sigma, args.trials, _seed(args))
+        rep = invariance_test(sampler, phi, sigma, args.trials, seed)
     except LogicError as exc:
         raise UsageError(f"bad --sigma: {exc}")
-    rows = [
-        _stat_row(rep.at_identity),
-        _stat_row(rep.at_permuted),
-        {
-            "statistic": "gap",
-            "estimate": float(rep.gap),
-            "stderr": rep.gap_stderr,
-            "trials": args.trials,
-            "seed_hex": args.seed,
-            "z": rep.z,
-        },
-    ]
+    gap = StatReport("gap", rep.gap, rep.gap_stderr, args.trials, seed, rep.z)
+    rows = [rep.at_identity.row(), rep.at_permuted.row(), gap.row()]
     code = EXIT_FLAG if abs(rep.z) > args.z_limit else EXIT_OK
     return code, _format_rows(rows, args.format)
 
@@ -293,23 +276,15 @@ def _cmd_coherence(args):
 
 def _cmd_collide(args):
     sampler = _sampler(args)
-    rep = collision_stat(sampler, args.n, args.trials, _seed(args))
+    seed = _seed(args)
+    rep = collision_stat(sampler, args.n, args.trials, seed)
     rows = [rep.row()]
     code = EXIT_OK
     if args.expect is not None:
         gap = float(rep.estimate) - args.expect
-        z = math.inf if rep.stderr == 0 and gap else gap / rep.stderr if rep.stderr else 0.0
-        rows.append(
-            {
-                "statistic": "deviation",
-                "estimate": gap,
-                "stderr": rep.stderr,
-                "trials": args.trials,
-                "seed_hex": args.seed,
-                "z": z,
-            }
-        )
-        if abs(z) > args.z_limit:
+        dev = StatReport("deviation", gap, rep.stderr, args.trials, seed, z_score(gap, rep.stderr))
+        rows.append(dev.row())
+        if abs(dev.z) > args.z_limit:
             code = EXIT_FLAG
     return code, _format_rows(rows, args.format)
 
@@ -463,29 +438,13 @@ def _cmd_rescale(args):
         return EXIT_VIOLATION, _format_rows(rows, args.format)
     base_est = estimate_marginal(handle, args.level, args.trials, seed.child("base"), depth)
     resc_est = estimate_marginal(scaled, args.level, args.trials, seed.child("rescaled"), depth)
-    stderr = lambda p: math.sqrt(max(p * (1.0 - p), 0.0) / args.trials)  # noqa: E731
+    base_err = binomial_stderr(base_est, args.trials)
+    resc_err = binomial_stderr(resc_est, args.trials)
+    gap_err = math.hypot(base_err, resc_err)
     rows = [
-        {
-            "statistic": "marginal-base",
-            "estimate": base_est,
-            "stderr": stderr(base_est),
-            "trials": args.trials,
-            "seed_hex": args.seed,
-        },
-        {
-            "statistic": "marginal-rescaled",
-            "estimate": resc_est,
-            "stderr": stderr(resc_est),
-            "trials": args.trials,
-            "seed_hex": args.seed,
-        },
-        {
-            "statistic": "gap",
-            "estimate": resc_est - base_est,
-            "stderr": math.hypot(stderr(base_est), stderr(resc_est)),
-            "trials": args.trials,
-            "seed_hex": args.seed,
-        },
+        StatReport("marginal-base", base_est, base_err, args.trials, seed).row(),
+        StatReport("marginal-rescaled", resc_est, resc_err, args.trials, seed).row(),
+        StatReport("gap", resc_est - base_est, gap_err, args.trials, seed).row(),
     ]
     return EXIT_OK, _format_rows(rows, args.format)
 
@@ -529,14 +488,14 @@ def build_parser() -> _Parser:
     p.add_argument("--sampler", required=True)
     p.add_argument("--phi", required=True)
     p.add_argument("--psi", required=True)
-    p.add_argument("--z-limit", type=_finite_float, default=3.0)
+    p.add_argument("--z-limit", type=_finite_float(0.0), default=3.0)
 
     p = add("invariance", _cmd_invariance, trials=True,
             help="compare an event at a permuted tuple")
     p.add_argument("--sampler", required=True)
     p.add_argument("--phi", required=True)
     p.add_argument("--sigma", required=True, help='permutation image, e.g. "1 0 2"')
-    p.add_argument("--z-limit", type=_finite_float, default=3.0)
+    p.add_argument("--z-limit", type=_finite_float(0.0), default=3.0)
 
     p = add("coherence", _cmd_coherence, trials=True, help="exact restriction/equivariance check")
     p.add_argument("--sampler", required=True)
@@ -546,8 +505,8 @@ def build_parser() -> _Parser:
     p = add("collide", _cmd_collide, trials=True, help="two-block fingerprint collision rate")
     p.add_argument("--sampler", required=True)
     p.add_argument("-n", type=_int_at_least(1), default=1)
-    p.add_argument("--expect", type=_finite_float, default=None)
-    p.add_argument("--z-limit", type=_finite_float, default=3.0)
+    p.add_argument("--expect", type=_finite_float(), default=None)
+    p.add_argument("--z-limit", type=_finite_float(0.0), default=3.0)
 
     p = add("roots", _cmd_roots, help="rootedness sweep over one sampled structure")
     p.add_argument("--sampler", required=True)
@@ -558,7 +517,7 @@ def build_parser() -> _Parser:
     p = add("postypes", _cmd_postypes, trials=True, help="positive-frequency fingerprint spectrum")
     p.add_argument("--sampler", required=True)
     p.add_argument("--arity", type=_int_at_least(0), required=True)
-    p.add_argument("--epsilon", type=_finite_float, default=0.05)
+    p.add_argument("--epsilon", type=_finite_float(0.0, 1.0, low_open=True), default=0.05)
 
     p = add("morleyize", _cmd_morleyize, help="emit defining axioms for a fragment")
     p.add_argument("--base", required=True, help='base signature, e.g. "P/1,E/2"')

@@ -73,31 +73,43 @@ def sample(sampler: AhkSampler, n: int, seed: SeedKey) -> FiniteStructure:
 
 @dataclass(frozen=True)
 class StatReport:
-    """One estimated statistic with its binomial standard error."""
+    """One estimated statistic with its standard error; a gap adds its z."""
 
     statistic: str
-    estimate: Fraction
+    estimate: Fraction | float
     stderr: float
     trials: int
     seed: SeedKey
+    z: float | None = None
 
     def row(self) -> dict:
-        return {
+        row = {
             "statistic": self.statistic,
             "estimate": float(self.estimate),
             "stderr": self.stderr,
             "trials": self.trials,
             "seed_hex": self.seed.hex,
         }
+        if self.z is not None:
+            row["z"] = self.z
+        return row
 
 
-def _binomial_stderr(count: int, trials: int) -> float:
-    p = count / trials
+def binomial_stderr(p: float, trials: int) -> float:
+    """Standard error of a proportion p observed over trials."""
     return math.sqrt(p * (1.0 - p) / trials)
 
 
+def z_score(gap, stderr: float) -> float:
+    """gap / stderr; at zero spread, 0 for no gap and inf for any gap."""
+    if stderr == 0.0:
+        return 0.0 if gap == 0 else math.inf
+    return float(gap) / stderr
+
+
 def _report(name: str, count: int, trials: int, seed: SeedKey) -> StatReport:
-    return StatReport(name, Fraction(count, trials), _binomial_stderr(count, trials), trials, seed)
+    stderr = binomial_stderr(count / trials, trials)
+    return StatReport(name, Fraction(count, trials), stderr, trials, seed)
 
 
 def _trials(sampler: AhkSampler, n: int, trials: int, seed: SeedKey) -> Iterator[TypeFingerprint]:
@@ -143,10 +155,6 @@ class DissociationReport:
     gap_stderr: float
     z: float
 
-    @property
-    def product(self) -> Fraction:
-        return self.marginal_a.estimate * self.marginal_b.estimate
-
 
 def dissociation_test(
     sampler: AhkSampler,
@@ -154,8 +162,6 @@ def dissociation_test(
     psi: QfFormula,
     trials: int,
     seed: SeedKey,
-    tuple_a: tuple[int, ...] | None = None,
-    tuple_b: tuple[int, ...] | None = None,
 ) -> DissociationReport:
     """Estimate P(phi and psi on disjoint tuples) against the product.
 
@@ -163,20 +169,15 @@ def dissociation_test(
     comes from the influence-function expansion, which for indicator
     variables reduces to a closed form in the four joint counts. An
     exchangeable measure is dissociated, so a sound sampler should show
-    |z| consistent with 0.
+    |z| consistent with 0. Phi reads the first num_vars(phi) points and
+    psi the next num_vars(psi).
     """
     ma, mb = num_vars(phi), num_vars(psi)
-    if tuple_a is None:
-        tuple_a = tuple(range(ma))
-    if tuple_b is None:
-        tuple_b = tuple(range(ma, ma + mb))
-    if set(tuple_a) & set(tuple_b):
-        raise ValueError("overlapping variable assignment requested")
-    n_points = max((*tuple_a, *tuple_b), default=-1) + 1
+    tuple_b = tuple(range(ma, ma + mb))
 
     n11 = n10 = n01 = 0
-    for fp in _trials(sampler, n_points, trials, seed):
-        a = fp.models(phi, tuple_a)
+    for fp in _trials(sampler, ma + mb, trials, seed):
+        a = fp.models(phi)
         b = fp.models(psi, tuple_b)
         if a and b:
             n11 += 1
@@ -201,10 +202,6 @@ def dissociation_test(
         infl = ((a_val * b_val) - fab) - fb * (a_val - fa) - fa * (b_val - fb)
         sum_sq += cnt * infl * infl
     gap_stderr = math.sqrt(sum_sq) / n
-    if gap_stderr == 0.0:
-        z = 0.0 if gap == 0 else math.inf
-    else:
-        z = float(gap) / gap_stderr
 
     return DissociationReport(
         joint=_report("joint", cab, n, seed),
@@ -212,7 +209,7 @@ def dissociation_test(
         marginal_b=_report("marginal_b", cb, n, seed),
         gap=gap,
         gap_stderr=gap_stderr,
-        z=z,
+        z=z_score(gap, gap_stderr),
     )
 
 
@@ -263,16 +260,12 @@ def invariance_test(
         gap_stderr = math.sqrt(var / trials)
     else:
         gap_stderr = 0.0
-    if gap_stderr == 0.0:
-        z = 0.0 if gap == 0 else math.inf
-    else:
-        z = float(gap) / gap_stderr
     return InvarianceReport(
         at_identity=_report("at_identity", ca, trials, seed),
         at_permuted=_report("at_permuted", cb, trials, seed),
         gap=gap,
         gap_stderr=gap_stderr,
-        z=z,
+        z=z_score(gap, gap_stderr),
     )
 
 
@@ -352,8 +345,7 @@ class PositiveTypesReport:
 
     @property
     def covered_stderr(self) -> float:
-        p = float(self.covered)
-        return math.sqrt(p * (1.0 - p) / self.trials)
+        return binomial_stderr(float(self.covered), self.trials)
 
 
 def estimate_positive_types(

@@ -143,10 +143,6 @@ class Permutation:
         if sorted(self.mapping) != list(range(n)):
             raise LogicError("mapping is not a bijection on 0..n-1")
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
     def __call__(self, i: int) -> int:
         return self.mapping[i]
 
@@ -212,10 +208,6 @@ class Or(QfFormula):
 
 def conj(*subs: QfFormula) -> QfFormula:
     return subs[0] if len(subs) == 1 else And(tuple(subs))
-
-
-def disj(*subs: QfFormula) -> QfFormula:
-    return subs[0] if len(subs) == 1 else Or(tuple(subs))
 
 
 def implies(a: QfFormula, b: QfFormula) -> QfFormula:

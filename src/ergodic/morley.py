@@ -279,14 +279,10 @@ def fragment_from_tree(tree) -> Fragment:
     if head in ("schemeAnd", "schemeOr"):
         if len(tree) != 4 or not isinstance(tree[1], str) or not isinstance(tree[2], str):
             raise MorleyError(f"({head} ivar N form) malformed")
-        try:
-            prefix_len = int(tree[2])
-        except ValueError:
-            raise MorleyError(f"prefix length {tree[2]!r} is not an integer") from None
-        if prefix_len < 1:
-            raise MorleyError("scheme prefix length must be >= 1")
+        if _PREFIX_LENGTH.fullmatch(tree[2]) is None:
+            raise MorleyError(f"prefix length {tree[2]!r} is not a positive decimal")
         cls = FSchemeAnd if head == "schemeAnd" else FSchemeOr
-        return cls(tree[1], prefix_len, fragment_from_tree(tree[3]))
+        return cls(tree[1], int(tree[2]), fragment_from_tree(tree[3]))
     raise MorleyError(f"unknown form {head!r}")
 
 
@@ -654,6 +650,7 @@ def _qf_to_tree(phi: QfFormula, signature: Signature):
 
 
 _VARIABLE = re.compile(r"x(0|[1-9][0-9]*)")
+_PREFIX_LENGTH = re.compile(r"[1-9][0-9]*")
 
 
 def _var(token) -> int:

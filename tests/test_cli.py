@@ -137,6 +137,22 @@ def test_estimate_csv_to_file(capsys):
          "--psi", "(rel R1 x0 x1)", "--z-limit", "nan"],
         ["invariance", "--sampler", "maxgraph:d=2", "--phi", "(rel R0 x0 x1)", "--sigma", "1 0",
          "--z-limit", "nan"],
+        # out-of-range floats: a negative z limit, an epsilon outside (0, 1]
+        ["collide", "--sampler", "maxgraph:d=3", "--z-limit", "-1"],
+        ["dissoc", "--sampler", "maxgraph:d=2", "--phi", "(rel R0 x0 x1)",
+         "--psi", "(rel R1 x0 x1)", "--z-limit", "-0.5"],
+        ["postypes", "--sampler", "blowup:d=3", "--arity", "1", "--epsilon", "-1"],
+        ["postypes", "--sampler", "blowup:d=3", "--arity", "1", "--epsilon", "0"],
+        ["postypes", "--sampler", "blowup:d=3", "--arity", "1", "--epsilon", "1.5"],
+        # a scheme's prefix length is a canonical positive decimal
+        ["morleyize", "--base", "P0/1,P1/1,P2/1", "--sentence",
+         "(forall x (schemeAnd n 0_3 (rel (P n) x)))"],
+        ["morleyize", "--base", "P0/1,P1/1,P2/1", "--sentence",
+         "(forall x (schemeAnd n +3 (rel (P n) x)))"],
+        ["morleyize", "--base", "P0/1,P1/1,P2/1", "--sentence",
+         "(forall x (schemeAnd n 03 (rel (P n) x)))"],
+        ["morleyize", "--base", "P0/1,P1/1,P2/1", "--sentence",
+         "(forall x (schemeAnd n 0 (rel (P n) x)))"],
     ],
 )
 def test_usage_errors_exit_3(capsys, argv):
@@ -144,6 +160,31 @@ def test_usage_errors_exit_3(capsys, argv):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+# the seed as typed: upper case, with a leading space
+LOOSE_SEED = ["--seed", " 00112233445566778899AABBCCDDEEFF"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dissoc", "--sampler", "kaleidoscope:k=2,d=3", "--phi", "(rel R0 x0 x1)",
+         "--psi", "(rel R1 x0 x1)", "--trials", "200"],
+        ["invariance", "--sampler", "digraph:d=3", "--phi", "(rel R x0 x1)", "--sigma", "1 0",
+         "--trials", "200"],
+        ["collide", "--sampler", "kaleidoscope:k=2,d=2", "-n", "2", "--expect", "0.25",
+         "--trials", "200"],
+        ["rescale", "--manifest", "b3.json", "--preset", "p0-heavy", "--trials", "200"],
+    ],
+)
+def test_every_statistic_row_prints_the_canonical_seed(capsys, argv):
+    run(capsys, ["build-limit", "--stages", "3", "--out", "b3.json", *SEED_ARGS])
+    code, out = run(capsys, [*argv, *LOOSE_SEED])
+    assert code == 0
+    rows = jsonl_rows(out)
+    assert len(rows) >= 2
+    assert all(r["seed_hex"] == SEED_ARGS[1] for r in rows)
 
 
 @pytest.mark.parametrize(

@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from ergodic.engine import (
+    StatReport,
     coherence_check,
     dissociation_test,
     estimate_measure,
     estimate_positive_types,
     invariance_test,
     sample,
+    z_score,
 )
 from ergodic.fixtures import BrokenSupersetSampler, EmptySampler, IndexKeyedSampler
 from ergodic.gallery import BlowupControl, KaleidoscopeHypergraph, MixtureControl
@@ -57,6 +59,16 @@ def test_report_row_and_csv():
     assert list(row) == ["statistic", "estimate", "stderr", "trials", "seed_hex"]
     assert row["trials"] == 100 and row["seed_hex"] == SEED.hex
     assert rep.seed == SEED
+    gap = StatReport("gap", Fraction(-1, 4), 0.5, 100, SEED, z=-0.5).row()
+    assert list(gap) == ["statistic", "estimate", "stderr", "trials", "seed_hex", "z"]
+    assert gap["estimate"] == -0.25 and gap["z"] == -0.5
+
+
+def test_z_score_at_zero_spread():
+    assert z_score(Fraction(0), 0.0) == 0.0
+    assert z_score(Fraction(1, 3), 0.0) == math.inf
+    assert z_score(-0.5, 0.0) == math.inf
+    assert z_score(Fraction(-1, 2), 0.25) == -2.0
 
 
 def test_dissociation_sound_sampler_small_z():
@@ -72,7 +84,7 @@ def test_dissociation_flags_mixture():
     gap_target = 0.16
     assert abs(float(rep.gap) - gap_target) < 3 * rep.gap_stderr + 0.02
     assert rep.z > 10
-    assert abs(float(rep.product) - 0.25) < 0.03
+    assert abs(float(rep.marginal_a.estimate * rep.marginal_b.estimate) - 0.25) < 0.03
 
 
 def test_degenerate_mixture_is_dissociated():
@@ -80,12 +92,17 @@ def test_degenerate_mixture_is_dissociated():
     assert abs(rep.z) < 4
 
 
-def test_dissociation_rejects_overlapping_tuples():
-    with pytest.raises(ValueError):
-        dissociation_test(
-            KaleidoscopeHypergraph(2, 1), EDGE, EDGE, 10, SEED,
-            tuple_a=(0, 1), tuple_b=(1, 2),
-        )
+def test_dissociation_reads_phi_then_psi_on_the_next_points():
+    # phi on points 0..1 and psi on points 2..4, one trial family per trial
+    sampler, trials = KaleidoscopeHypergraph(2, 2), 40
+    psi = And((Rel(1, (0, 1)), Not(Rel(0, (1, 2)))))
+    rep = dissociation_test(sampler, EDGE, psi, trials, SEED)
+    fps = [sampler.type_fn(5, XiFamily(SEED.child("trial", t))) for t in range(trials)]
+    a = [fp.models(EDGE, (0, 1)) for fp in fps]
+    b = [fp.models(psi, (2, 3, 4)) for fp in fps]
+    assert rep.marginal_a.estimate == Fraction(sum(a), trials)
+    assert rep.marginal_b.estimate == Fraction(sum(b), trials)
+    assert rep.joint.estimate == Fraction(sum(x and y for x, y in zip(a, b)), trials)
 
 
 def test_invariance_identity_gap_is_exact_zero():

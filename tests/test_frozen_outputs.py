@@ -109,6 +109,21 @@ CASES = [
     ("postypes.jsonl", ["postypes", "--sampler", "blowup:d=3", "--arity", "1",
                         "--epsilon", "0.05", "--trials", "3000", "--seed", SEED_B], 0,
      "ae6027453610445d7384e7ee4347e39784803d00"),
+    # CSV columns follow each row's key order: a gap or deviation row adds z last
+    ("dissoc_kaleidoscope.csv", ["dissoc", "--sampler", "kaleidoscope:k=2,d=3", "--phi",
+                                 "(rel R0 x0 x1)", "--psi", "(or (rel R1 x0 x1) (eq x0 x1))",
+                                 "--trials", "3000", "--seed", SEED_A, "--format", "csv"], 0,
+     "0a282bd3cad9456581abc393064853762b02cd16"),
+    ("invariance.csv", ["invariance", "--sampler", "digraph:d=3", "--phi",
+                        "(and (rel R x0 x1) (not (rel R x1 x2)))", "--sigma", "2 0 1",
+                        "--trials", "3000", "--seed", SEED_A, "--format", "csv"], 0,
+     "e473dfb6dc0fae053c9200ac707bc47a667d12e0"),
+    ("collide.csv", ["collide", "--sampler", "kaleidoscope:k=2,d=2", "-n", "2", "--expect",
+                     "0.25", "--trials", "3000", "--seed", SEED_A, "--format", "csv"], 0,
+     "7b384cbb27e8fd6e8cde875009042b98d4639cb7"),
+    ("rescale.csv", ["rescale", "--manifest", "build_a.json", "--preset", "p0-heavy",
+                     "--trials", "2000", "--seed", SEED_A, "--format", "csv"], 0,
+     "5c4b8a9da350c5c47b14ef8a861e9dcfd3710952"),
 ]
 
 

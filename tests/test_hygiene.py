@@ -3,7 +3,10 @@
 Three rules keep dead code from piling up: every module-level import is
 used by its module, every function, class and method is referenced
 somewhere outside its own body, in src/, tests/ or bench/, and only the
-few names in TEST_ONLY may have their every reference in tests/.
+few names in TEST_ONLY may have their every reference in tests/. A string
+that spells an identifier counts as a reference only in bench/, where the
+tracer names what it patches; elsewhere such a string is data (a pattern
+name, a preset) that happens to share a definition's name.
 """
 
 import ast
@@ -21,13 +24,21 @@ TEST_ONLY = {
     "class_probability": "the reference for the blowup sampler's class law",
 }
 
+# definitions that a library calls by name, and which library
+CALLED_BY_LIBRARY = {
+    "error": "argparse calls it",
+}
+
 
 def _modules():
     return [(path, ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
 
 
-def _references(tree):
-    """(identifier, line) of every name, attribute, imported name and identifier string."""
+def _references(tree, strings: bool):
+    """(identifier, line) of every name, attribute and imported name.
+
+    With `strings`, every string constant that spells an identifier too.
+    """
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
@@ -35,7 +46,7 @@ def _references(tree):
             yield node.attr, node.lineno
         elif isinstance(node, ast.alias):
             yield node.name.rpartition(".")[2], node.lineno
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
                 yield node.value, node.lineno
 
@@ -75,12 +86,12 @@ def _unreferenced(searched) -> list[str]:
     uses: dict[str, list[tuple[Path, int]]] = {}
     for top in searched:
         for path in sorted((ROOT / top).rglob("*.py")):
-            for name, line in _references(ast.parse(path.read_text())):
+            for name, line in _references(ast.parse(path.read_text()), top == "bench"):
                 uses.setdefault(name, []).append((path, line))
     unreferenced = []
     for path, tree in _modules():
         for node in _definitions(tree):
-            if node.name.startswith("__"):
+            if node.name.startswith("__") or node.name in CALLED_BY_LIBRARY:
                 continue
             outside = [
                 (p, line) for p, line in uses.get(node.name, ())
