@@ -60,7 +60,6 @@ from .morley import (
     FSchemeOr,
     Fragment,
     MorleyResult,
-    QType,
     canonical_vars,
     morleyize,
     parse_fragment,
@@ -156,7 +155,6 @@ class BuildTheory:
     base_depth: int
     sentences: tuple[str, ...]
     result: MorleyResult
-    language: Signature
     tail_start: int
     ext_patterns: dict  # node index -> (mask, bits)
     iff_nodes: tuple[int, ...]  # node index of the agreement formula, n < prefix
@@ -188,6 +186,13 @@ class BuildTheory:
             return ("node", sym - self.base_depth)
         t, r = divmod(sym - self.tail_start, 2)
         return ("pred" if r == 0 else "riff", self.base_depth + t)
+
+    def symbol(self, sym: int) -> tuple[str, int]:
+        """(name, arity) of a symbol id."""
+        kind, n = self.classify(sym)
+        if kind == "node":
+            return self.result.nodes[n].name, self.result.nodes[n].arity
+        return (f"P{n}", 1) if kind == "pred" else (f"Riff{n}", 2)
 
     def bits_read(self, sym: int) -> int:
         """Bitmask of predicate levels whose values determine this symbol."""
@@ -256,25 +261,11 @@ def build_theory(base_depth: int = 4) -> BuildTheory:
     )
     node_bits = tuple(_formula_bits(node.formula) for node in result.nodes)
 
-    tail_start = base_depth + len(result.nodes)
-
-    def rule(k: int, _ts=tail_start, _d=base_depth, _res=result):
-        if k < _d:
-            return (f"P{k}", 1)
-        if k < _ts:
-            node = _res.nodes[k - _d]
-            return (node.name, node.arity)
-        t, r = divmod(k - _ts, 2)
-        return (f"P{_d + t}", 1) if r == 0 else (f"Riff{_d + t}", 2)
-
-    language = Signature((), generator=rule).materialize(tail_start)
-
     return BuildTheory(
         base_depth=base_depth,
         sentences=sentences,
         result=result,
-        language=language,
-        tail_start=tail_start,
+        tail_start=base_depth + len(result.nodes),
         ext_patterns=ext_patterns,
         iff_nodes=tuple(iff_nodes),
         sc_node=sc_node,
@@ -293,8 +284,6 @@ class ScheduleEntry:
     k: int
     entry: int  # round-robin slot
     pithy: Axiom
-    qtype: QType
-    symbol: int
 
 
 def schedule_entry(k: int, theory: BuildTheory) -> ScheduleEntry:
@@ -303,7 +292,7 @@ def schedule_entry(k: int, theory: BuildTheory) -> ScheduleEntry:
     Stage k serves round-robin slot m where k+1 = 2^i * (2m+1); slot j
     therefore recurs at stages 2j, 4j+1, 8j+3, ... — every slot, and so
     every sentence and every omitted type, comes up infinitely often.
-    Symbols enter in plain id order, one per stage.
+    Symbols enter in plain id order: stage k+1 admits symbol k.
     """
     if k < 0:
         raise LimitError("stage index must be nonnegative")
@@ -311,14 +300,7 @@ def schedule_entry(k: int, theory: BuildTheory) -> ScheduleEntry:
     v >>= (v & -v).bit_length() - 1
     m = (v - 1) // 2
     pithy = theory.result.pithy_axioms
-    qtypes = theory.result.qtypes
-    return ScheduleEntry(
-        k=k,
-        entry=m,
-        pithy=pithy[m % len(pithy)],
-        qtype=qtypes[m % len(qtypes)],
-        symbol=k,
-    )
+    return ScheduleEntry(k=k, entry=m, pithy=pithy[m % len(pithy)])
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +333,8 @@ class KaleidoscopePredicateGuide:
     agree at all levels.
     """
 
-    def __init__(self, key: SeedKey, theory: BuildTheory | None = None):
-        self.theory = theory if theory is not None else build_theory()
+    def __init__(self, key: SeedKey, theory: BuildTheory):
+        self.theory = theory
         self._bitkey = key.child("guide-bits")
         self.routed: list[int] = []  # per stage j: levels copies born at j+1 share
         self.forced: dict[int, tuple[int, int]] = {}  # stage -> new element's preset
@@ -612,7 +594,7 @@ def advance_stage(stage: Stage, guide: KaleidoscopePredicateGuide,
             lang.add(sym)
             added.append(sym)
 
-    admit(entry.symbol)
+    admit(entry.k)
     admit(theory.sc_symbol)
 
     origins = np.arange(m)
@@ -677,6 +659,20 @@ class StageReport:
             "strong_witness": self.strong_witness_ok,
             "passed": self.passed,
         }
+
+    def failures(self) -> str:
+        """The failed checks, each with the witness it found, if any."""
+        out = [name for name, ok in self.as_dict().items() if ok is False and name != "passed"]
+        if self.pushforward_witness == STAR:
+            out[out.index("pushforward")] += " (fails at the reservoir)"
+        elif self.pushforward_witness is not None:
+            out[out.index("pushforward")] += f" (fails at position {self.pushforward_witness})"
+        if self.type_witness is not None:
+            level, (origin, copy) = self.type_witness
+            out[out.index("type_preservation")] += (
+                f" (copy {copy} departs from origin {origin} at level {level})"
+            )
+        return ", ".join(out)
 
 
 def stage_invariants(prev: Stage, nxt: Stage,
@@ -772,9 +768,9 @@ GUIDE_NAME = "kaleidoscope-predicate"  # the one guide; build manifests name it
 class LimitHandle:
     """Built stages plus the guide, extended on demand."""
 
-    def __init__(self, seed: SeedKey, theory: BuildTheory | None = None):
+    def __init__(self, seed: SeedKey, theory: BuildTheory):
         self.seed = seed
-        self.theory = theory if theory is not None else build_theory()
+        self.theory = theory
         self.guide = KaleidoscopePredicateGuide(seed, self.theory)
         self.stages: list[Stage] = [init_stage0()]
         self.reports: list[StageReport] = []
@@ -802,7 +798,9 @@ class LimitHandle:
                 self.reports.append(report)
                 self.checked_to += 1
                 if not report.passed:
-                    raise LimitError(f"stage {report.k} failed its exact checks")
+                    raise LimitError(
+                        f"stage {report.k} failed its exact checks: {report.failures()}"
+                    )
 
     @property
     def depth(self) -> int:
@@ -995,12 +993,9 @@ def sample_structure(handle: LimitHandle, m: int, depth: int, seed: SeedKey,
 
     theory = handle.theory
     lang_ids = tuple(sorted(handle.stage(level).lang))
-    concrete = theory.language.materialize((max(lang_ids) + 1) if lang_ids else 0)
-    signature = Signature(tuple((concrete.name(sym), concrete.arity(sym)) for sym in lang_ids))
-
     uids = tuple(pt.position(level) for pt in points)
     return LimitSample(
-        signature=signature,
+        signature=Signature(tuple(map(theory.symbol, lang_ids))),
         tables=tuple(_fact_array(handle.guide, theory, sym, uids) for sym in lang_ids),
         symbol_ids=lang_ids,
         uids=uids,
@@ -1034,8 +1029,6 @@ def snapshot_axiom_holds(sample: LimitSample, axiom: Axiom) -> bool:
     """
     n = len(sample.uids)
     width = len(axiom.prefix)
-    if width and n == 0:
-        return True
     local = {sym: i for i, sym in enumerate(sample.symbol_ids)}
 
     def axis(v: int) -> np.ndarray:
@@ -1199,56 +1192,31 @@ def rescale(handle: LimitHandle, weight: Weight) -> RescaledHandle:
     return RescaledHandle(handle, weight)
 
 
-def _level_partition(handle: LimitHandle, stage: int,
-                     level: int) -> tuple[Stage, tuple[int, ...], tuple[str, ...]]:
-    """Stage, cell per element (0 where the level's bit is set, else 1), labels."""
-    st = handle.stage(stage)
-    assignment = tuple(np.where(_bit_vector(handle.guide, st.uids, level), 0, 1).tolist())
-    if len(set(assignment)) < 2:
-        raise LimitError(f"level {level} does not split stage {stage}")
-    return st, assignment, (f"P{level}-true", f"P{level}-false", "reservoir")
-
-
-def weight_by_level(handle: LimitHandle, stage: int, level: int = 0,
-                    ratio: tuple[int, int] = (1, 1)) -> Weight:
-    """Two cells split by one predicate level, reservoir kept apart.
-
-    The reservoir cell keeps its current mass; the rest is divided
-    between the level-true and level-false cells in the given ratio.
-    """
-    st, assignment, labels = _level_partition(handle, stage, level)
-    star_share = st.mass(STAR)
-    rest = 1 - star_share
-    a, b = ratio
-    if a <= 0 or b <= 0:
-        raise LimitError("ratio parts must be positive")
-    masses = (
-        rest * Fraction(a, a + b),
-        rest * Fraction(b, a + b),
-        star_share,
-    )
-    return Weight(stage, labels, assignment, star_cell=2, masses=masses)
-
-
-def weight_identity(handle: LimitHandle, stage: int, level: int = 0) -> Weight:
-    """Same partition as weight_by_level but targeting the current masses."""
-    st, assignment, labels = _level_partition(handle, stage, level)
-    counts = np.bincount([*assignment, 2]).tolist()  # every element and the reservoir weigh 1/2^k
-    return Weight(stage, labels, assignment, star_cell=2,
-                  masses=tuple(Fraction(n, st.den) for n in counts))
-
-
 WEIGHT_PRESETS = ("identity", "p0-heavy", "p0-light")
 
 
 def weight_preset(handle: LimitHandle, name: str, stage: int) -> Weight:
+    """Three cells of one stage: the P0-true and P0-false elements, and the reservoir.
+
+    "identity" targets the current masses. "p0-heavy" and "p0-light"
+    keep the reservoir's mass and split the rest 3:1 and 1:3 between
+    the P0-true and P0-false cells.
+    """
+    if name not in WEIGHT_PRESETS:
+        raise LimitError(f"unknown weight preset {name!r}; have {WEIGHT_PRESETS}")
+    st = handle.stage(stage)
+    assignment = tuple(np.where(_bit_vector(handle.guide, st.uids, 0), 0, 1).tolist())
+    if len(set(assignment)) < 2:
+        raise LimitError(f"level 0 does not split stage {stage}")
     if name == "identity":
-        return weight_identity(handle, stage)
-    if name == "p0-heavy":
-        return weight_by_level(handle, stage, level=0, ratio=(3, 1))
-    if name == "p0-light":
-        return weight_by_level(handle, stage, level=0, ratio=(1, 3))
-    raise LimitError(f"unknown weight preset {name!r}; have {WEIGHT_PRESETS}")
+        # every element and the reservoir weigh 1/2^k
+        masses = tuple(Fraction(n, st.den) for n in np.bincount([*assignment, 2]).tolist())
+    else:
+        star = st.mass(STAR)
+        share = Fraction(3 if name == "p0-heavy" else 1, 4)  # the P0-true cell's part
+        masses = ((1 - star) * share, (1 - star) * (1 - share), star)
+    return Weight(stage, ("P0-true", "P0-false", "reservoir"), assignment, star_cell=2,
+                  masses=masses)
 
 
 def estimate_marginal(handle: LimitHandle, level: int, trials: int,
@@ -1275,9 +1243,6 @@ def estimate_marginal(handle: LimitHandle, level: int, trials: int,
 
 def build_manifest(handle: LimitHandle) -> dict:
     theory = handle.theory
-    concrete = theory.language.materialize(
-        max((max(st.lang, default=0) for st in handle.stages), default=0) + 1
-    )
     summaries = []
     for st in handle.stages:
         mm = st.max_mass()
@@ -1296,7 +1261,7 @@ def build_manifest(handle: LimitHandle) -> dict:
             "k": e.k,
             "entry": e.entry,
             "sentence": e.pithy.label,
-            "symbol": e.symbol,
+            "symbol": e.k,
         }
         for e in (schedule_entry(k, theory) for k in range(handle.depth))
     ]
@@ -1309,7 +1274,7 @@ def build_manifest(handle: LimitHandle) -> dict:
         "stages": handle.depth,
         "schedule": schedule,
         "language": [
-            {"id": sym, "name": concrete.name(sym), "arity": concrete.arity(sym)}
+            {"id": sym, "name": theory.symbol(sym)[0], "arity": theory.symbol(sym)[1]}
             for sym in sorted(handle.stages[-1].lang)
         ],
         "stage_summaries": summaries,

@@ -8,11 +8,11 @@ canonical order, so equality of fingerprints is equality of types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product, repeat
 from operator import itemgetter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -28,18 +28,12 @@ class LogicError(ValueError):
 
 @dataclass(frozen=True)
 class Signature:
-    """Ordered relational vocabulary.
+    """Ordered relational vocabulary of (name, arity) pairs.
 
-    `symbols` is the materialized finite part: (name, arity) pairs.
-    `generator`, when present, produces the symbol at index k for an
-    unbounded vocabulary; `materialize` extends the concrete prefix.
     Arity 0 is allowed (a 0-ary relation is a single stored boolean).
     """
 
     symbols: tuple[tuple[str, int], ...]
-    generator: Optional[Callable[[int], tuple[str, int]]] = field(
-        default=None, compare=False, hash=False
-    )
 
     def __post_init__(self) -> None:
         names = [name for name, _ in self.symbols]
@@ -66,15 +60,6 @@ class Signature:
             if n == name:
                 return i
         raise LogicError(f"unknown symbol {name!r}")
-
-    def materialize(self, count: int) -> "Signature":
-        """Concrete signature holding at least `count` symbols."""
-        if count <= len(self.symbols):
-            return self
-        if self.generator is None:
-            raise LogicError("finite signature cannot be extended")
-        extra = tuple(self.generator(k) for k in range(len(self.symbols), count))
-        return Signature(self.symbols + extra, generator=self.generator)
 
 
 Fact = tuple[int, tuple[int, ...]]

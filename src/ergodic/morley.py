@@ -450,29 +450,24 @@ def _child_args(child: Fragment, env: dict[str, int]) -> tuple[int, ...]:
     return tuple(env[v] for v in canonical_vars(child))
 
 
-def morleyize(
-    sentences: list[Fragment],
-    base: Signature,
-    name_prefix: str = "Rf",
-    max_arity: int = 16,
-) -> MorleyResult:
+MAX_ARITY = 16  # the most free variables a closure node may have
+
+
+def morleyize(sentences: list[Fragment], base: Signature) -> MorleyResult:
     closure = subformula_closure(sentences)
     nodes: list[ClosureNode] = []
     lookup: dict[Fragment, int] = {}
     for idx, phi in enumerate(closure):
         arity = len(canonical_vars(phi))
-        if arity > max_arity:
+        if arity > MAX_ARITY:
             raise MorleyError(
-                f"free-variable supply exhausted: node has arity {arity} > {max_arity}"
+                f"free-variable supply exhausted: node has arity {arity} > {MAX_ARITY}"
             )
-        nodes.append(ClosureNode(idx, phi, f"{name_prefix}{idx}", arity))
+        nodes.append(ClosureNode(idx, phi, f"Rf{idx}", arity))
         lookup[phi] = idx
 
     nbase = len(base.symbols)
-    language = Signature(
-        base.symbols + tuple((node.name, node.arity) for node in nodes),
-        generator=base.generator,
-    )
+    language = Signature(base.symbols + tuple((node.name, node.arity) for node in nodes))
 
     def rsym(phi: Fragment) -> int:
         return nbase + lookup[canonical_form(phi)]

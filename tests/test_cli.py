@@ -1,12 +1,13 @@
 """End-to-end command-line coverage: exit codes, formats, manifests, replay."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from ergodic import cli
+from ergodic import cli, limits
 from ergodic.cli import main, replay
 from ergodic.engine import sample
 from ergodic.gallery import parse_sampler_spec
@@ -326,6 +327,25 @@ def test_limit_sample_audit_failure_exits_2(capsys, monkeypatch):
     assert any(r.get("passed") is False for r in jsonl_rows(out) if "audit" in r)
     code, _ = run(capsys, [*argv, "--no-audit"])
     assert code == 0
+
+
+def test_failed_build_names_the_witness_in_its_error_document(capsys, monkeypatch):
+    audit = limits.stage_invariants
+
+    def tampered(prev, nxt, guide):
+        report = audit(prev, nxt, guide)
+        if report.k < 3:
+            return report
+        return dataclasses.replace(report, type_preservation_ok=False, type_witness=(0, (1, 4)))
+
+    monkeypatch.setattr(limits, "stage_invariants", tampered)
+    code, out = run(capsys, ["build-limit", "--stages", "4", *SEED_ARGS])
+    assert code == 2
+    assert json.loads(out) == {
+        "kind": "build-limit-error",
+        "error": "stage 3 failed its exact checks:"
+                 " type_preservation (copy 4 departs from origin 1 at level 0)",
+    }
 
 
 @pytest.mark.parametrize(

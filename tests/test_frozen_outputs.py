@@ -32,6 +32,14 @@ CASES = [
      "ecb6edb92daf7663c8210e734d0371b366874f90"),
     ("build_b.json", ["build-limit", "--stages", "8", "--seed", SEED_B], 0,
      "4c372c8335b82e64ae4ba914dd43db6b91f507ab"),
+    # the base depth moves tail_start and every symbol name after the base
+    ("build_d2.json", ["build-limit", "--stages", "8", "--base-depth", "2", "--seed", SEED_A], 0,
+     "0e51763e5ea3ce9ca3be982fbe383c170e2063dc"),
+    ("build_d6.json", ["build-limit", "--stages", "8", "--base-depth", "6", "--seed", SEED_A], 0,
+     "3978913a6ce58406e349e759238bc29bca79ec8f"),
+    ("snapshot_d6.jsonl", ["limit-sample", "--manifest", "build_d6.json", "-n", "12",
+                           "--depth", "10", "--seed", SEED_B], 0,
+     "3e21be50f1519c1afab6bfe20cec588fb129531f"),
     ("morley_qe.json", ["morleyize", "--base", "R/2",
                         "--sentence", "(forall x (exists y (rel R x y)))"], 0,
      "2baa4b24925fbd7afb831a080a9e00e1f24a3b9a"),

@@ -1,12 +1,13 @@
 """Source hygiene of src/ergodic, checked with the standard-library ast.
 
-Three rules keep dead code from piling up: every module-level import is
+Four rules keep dead code from piling up: every module-level import is
 used by its module, every function, class and method is referenced
-somewhere outside its own body, in src/, tests/ or bench/, and only the
-few names in TEST_ONLY may have their every reference in tests/. A string
-that spells an identifier counts as a reference only in bench/, where the
-tracer names what it patches; elsewhere such a string is data (a pattern
-name, a preset) that happens to share a definition's name.
+somewhere outside its own body, in src/, tests/ or bench/, only the few
+names in TEST_ONLY may have their every reference in tests/, and every
+dataclass field is read as an attribute somewhere in src/ or bench/. A
+string that spells an identifier counts as a reference only in bench/,
+where the tracer names what it patches; elsewhere such a string is data
+(a pattern name, a preset) that happens to share a definition's name.
 """
 
 import ast
@@ -111,3 +112,25 @@ def test_no_definition_is_test_only():
     # a name only tests call belongs in the tests, as their oracle
     test_only = [d for d in _unreferenced(("src", "bench")) if d.split()[-1] not in TEST_ONLY]
     assert not test_only, "referenced only from tests/: " + ", ".join(test_only)
+
+
+def test_every_dataclass_field_is_read():
+    # a field that only tests read is computed for no caller
+    read = {
+        node.attr
+        for top in ("src", "bench")
+        for path in sorted((ROOT / top).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{path.name}:{field.lineno} {cls.name}.{field.target.id}"
+        for path, tree in _modules()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        and any(ast.unparse(d).startswith("dataclass") for d in cls.decorator_list)
+        for field in cls.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        and field.target.id not in read
+    ]
+    assert not unread, "dataclass fields never read: " + ", ".join(unread)

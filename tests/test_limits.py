@@ -39,10 +39,9 @@ from ergodic.limits import (
     stage_invariants,
     type_omitted_in_sample,
     unary_fingerprints,
-    weight_identity,
     weight_preset,
 )
-from ergodic.logic import And, Eq, FiniteStructure, Not, Or, Rel, eval_qf, implies
+from ergodic.logic import And, Eq, FiniteStructure, Not, Or, Rel, Signature, implies
 from ergodic.morley import (
     Axiom,
     FAnd,
@@ -56,6 +55,7 @@ from ergodic.morley import (
     FSchemeOr,
     MorleyError,
     RelRef,
+    axiom_holds,
     canonical_vars,
 )
 from ergodic.seeds import BITS_PER_STREAM, SeedKey, XiFamily
@@ -70,7 +70,7 @@ def theory():
 
 @pytest.fixture(scope="module")
 def handle8():
-    h = LimitHandle(SEED)
+    h = LimitHandle(SEED, build_theory())
     h.advance_to(8, check=True)
     return h
 
@@ -95,8 +95,10 @@ def test_symbol_layout(theory):
     assert (kind, level) == ("pred", 7)
     kind, level = theory.classify(theory.iff_symbol(9))
     assert (kind, level) == ("riff", 9)
-    name, arity = theory.language.materialize(theory.tail_start + 2).symbols[-1]
-    assert arity == 2  # agreement relations are binary
+    assert theory.symbol(2) == ("P2", 1)
+    assert theory.symbol(4) == (theory.result.nodes[0].name, theory.result.nodes[0].arity)
+    assert theory.symbol(theory.tail_start) == ("P4", 1)
+    assert theory.symbol(theory.iff_symbol(9)) == ("Riff9", 2)  # agreement relations are binary
 
 
 def test_level_masks_or_over_the_parts_and_refuse_the_rest():
@@ -117,16 +119,17 @@ def test_build_theory_validates_depth():
         build_theory(base_depth=1)
 
 
-def test_schedule_follows_the_ruler_rule(theory):
+def test_schedule_follows_the_ruler_rule(theory, handle8):
     slots = [schedule_entry(k, theory).entry for k in range(32)]
     assert slots[:16] == [0, 0, 1, 0, 2, 1, 3, 0, 4, 2, 5, 1, 6, 3, 7, 0]
     # slot m revisits at stages 2m, 4m+1, 8m+3, ...
     assert slots[2 * 3] == 3 and slots[4 * 3 + 1] == 3 and slots[8 * 3 + 3] == 3
     for k in range(12):
         e = schedule_entry(k, theory)
-        assert e.symbol == k
-        assert e.qtype is not None  # the lone omitted type is always on duty
         assert e.pithy == theory.result.pithy_axioms[e.entry % 8]
+    # symbols enter in id order: stage k+1 admits symbol k
+    for k in range(8):
+        assert k in handle8.stages[k + 1].lang
 
 
 def test_stage0_is_pure_reservoir():
@@ -195,7 +198,7 @@ def full_table_type_preservation(prev, guide) -> bool:
     m = prev.size
     parent = np.arange(2 * m) % m
     for sym in sorted(prev.lang):
-        arity = theory.language.materialize(sym + 1).arity(sym)
+        arity = theory.symbol(sym)[1]
         if arity == 0 or m == 0:
             continue
         new_tab = _fact_array(guide, theory, sym, range(2 * m))
@@ -229,6 +232,26 @@ def test_flipped_inherited_level_fails_type_preservation():
     flip_copy_level(h, 8, level=0)
     rep = stage_invariants(prev, nxt, h.guide)
     assert not rep.type_preservation_ok and not rep.passed
+
+
+def test_a_failed_stage_names_its_checks_and_witnesses():
+    h = build_limit(8, SEED, check=False)
+    flip_copy_level(h, 8, level=0)
+    with pytest.raises(LimitError) as err:
+        h.advance_to(8, check=True)
+    assert str(err.value) == (
+        "stage 8 failed its exact checks:"
+        " type_preservation (copy 132 departs from origin 5 at level 0)"
+    )
+    assert h.checked_to == 8 and h.reports[-1].type_witness == (0, (5, 132))
+    # one element's mass doubled: its pushforward fails, and so do the total and the bound
+    h = build_limit(4, SEED, check=False)
+    h.stages[4] = dataclasses.replace(h.stages[4], nums=[2] + [1] * 14)
+    with pytest.raises(LimitError) as err:
+        h.advance_to(4, check=True)
+    assert str(err.value) == (
+        "stage 4 failed its exact checks: mass_total, mass_bound, pushforward (fails at position 0)"
+    )
 
 
 @pytest.mark.parametrize("seed", [SeedKey(1), SeedKey(7), SeedKey(0xDEE9)])
@@ -434,7 +457,7 @@ def test_snapshot_facts_match_a_per_fact_oracle(handle8):
 
 
 def test_stages_past_the_ceiling_are_refused_before_building():
-    h = LimitHandle(SEED)
+    h = LimitHandle(SEED, build_theory())
     with pytest.raises(StageCeilingError):
         h.advance_to(MAX_STAGE + 1)
     with pytest.raises(StageCeilingError):
@@ -451,7 +474,7 @@ def test_separation_gives_up_past_the_extra_budget():
 
 
 def test_identity_weight_changes_nothing(handle8):
-    ident = weight_identity(handle8, 6)
+    ident = weight_preset(handle8, "identity", 6)
     scaled = rescale(handle8, ident)
     for k in range(1, 8):
         nums, star, den = scaled.level_masses(k)
@@ -466,7 +489,7 @@ def test_identity_weight_changes_nothing(handle8):
 
 
 def test_heavy_light_presets_split_the_level_mass():
-    h = LimitHandle(SEED)
+    h = LimitHandle(SEED, build_theory())
     h.advance_to(8, check=False)
     heavy = rescale(h, weight_preset(h, "p0-heavy", 6))
     light = rescale(h, weight_preset(h, "p0-light", 6))
@@ -485,7 +508,7 @@ def test_marginal_refuses_nonpositive_trials(handle8):
 
 
 def test_snapshot_larger_than_any_stage_is_refused_before_drawing():
-    h = LimitHandle(SEED)
+    h = LimitHandle(SEED, build_theory())
     with pytest.raises(StageCeilingError):
         sample_structure(h, 2**MAX_STAGE, 1, SEED.child("many"))
     assert h.depth == 0 and not h.guide.routed
@@ -603,28 +626,18 @@ def test_new_copies_mostly_leave_their_first_word_undrawn():
     assert drawn.mean() < 0.05
 
 
-def recursive_axiom_holds(samp, axiom, language) -> bool:
-    """The axiom by recursion over all n^|prefix| assignments, eval_qf per leaf.
+def recursive_axiom_holds(samp, axiom, theory) -> bool:
+    """The axiom by `morley.axiom_holds`: recursion over every assignment.
 
     The snapshot's facts are put back on their ambient symbol indices, so
     the matrix is evaluated as the theory wrote it.
     """
     ambient = FiniteStructure(
-        language.materialize(max(samp.symbol_ids) + 1),
+        Signature(tuple(map(theory.symbol, range(max(samp.symbol_ids) + 1)))),
         samp.structure.domain_size,
         frozenset((samp.symbol_ids[local], t) for local, t in samp.structure.facts),
     )
-    n = ambient.domain_size
-    if axiom.prefix and n == 0:
-        return True
-
-    def rec(pos, assignment):
-        if pos == len(axiom.prefix):
-            return eval_qf(ambient, axiom.matrix, assignment)
-        pick = all if axiom.prefix[pos] == "A" else any
-        return pick(rec(pos + 1, assignment + (d,)) for d in range(n))
-
-    return rec(0, ())
+    return axiom_holds(ambient, axiom)
 
 
 def per_fact_type_omitted(samp, theory) -> bool:
@@ -655,7 +668,7 @@ def assert_audits_match_the_oracles(samp, theory):
     axioms = materialized_universal_axioms(theory, samp.symbol_ids)
     got = [snapshot_axiom_holds(samp, ax) for ax in axioms]
     assert all(type(ok) is bool for ok in got)
-    assert got == [recursive_axiom_holds(samp, ax, theory.language) for ax in axioms]
+    assert got == [recursive_axiom_holds(samp, ax, theory) for ax in axioms]
     omitted = type_omitted_in_sample(samp, theory)
     assert type(omitted) is bool and omitted == per_fact_type_omitted(samp, theory)
     assert unary_fingerprints(samp) == per_fact_unary_prints(samp)
@@ -689,9 +702,16 @@ def test_snapshot_audits_match_per_fact_oracles():
         assert got and all(got) and omitted
         for ax in probe_axioms(samp) if t % 4 == 0 else ():
             ok = snapshot_axiom_holds(samp, ax)
-            assert ok == recursive_axiom_holds(samp, ax, handle.theory.language)
+            assert ok == recursive_axiom_holds(samp, ax, handle.theory)
             probed.add((ax.matrix, ok))
     assert {ok for _, ok in probed} == {True, False}
+
+    # no points: every universal probe holds vacuously, and no E or EA one holds
+    empty = sample_structure(handle, 0, 8, SEED.child("empty"))
+    assert_audits_match_the_oracles(empty, handle.theory)
+    for ax in probe_axioms(empty):
+        ok = snapshot_axiom_holds(empty, ax)
+        assert ok == recursive_axiom_holds(empty, ax, handle.theory) == (ax.prefix[0] == "A")
 
     # a flipped diagonal fact of the first binary symbol breaks an axiom
     local = next(i for i, t in enumerate(samp.tables) if t.ndim == 2)

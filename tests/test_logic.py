@@ -63,16 +63,6 @@ def test_signature_rejects_duplicates_and_bad_arity():
         Signature((("P", -1),))
 
 
-def test_generated_signature_materializes_on_demand():
-    sig = Signature((), generator=lambda k: (f"R{k}", 2))
-    assert len(sig) == 0
-    wide = sig.materialize(4)
-    assert wide.symbols[3] == ("R3", 2)
-    assert wide.materialize(2) is wide
-    with pytest.raises(LogicError):
-        Signature((("P", 1),)).materialize(2)
-
-
 def test_structure_validates_facts():
     with pytest.raises(LogicError):
         FiniteStructure(SIG, 2, frozenset({(5, (0,))}))

@@ -239,8 +239,12 @@ def test_json_roundtrip_reproduces_result():
 
 
 def test_arity_budget_is_enforced():
-    with pytest.raises(MorleyError):
-        morleyize([parse_fragment(FORALL_EXISTS)], BASE_R, max_arity=1)
+    # the innermost disjunction has 17 free variables, one past MAX_ARITY
+    body = "(or " + " ".join(f"(rel R x{i} x{i + 1})" for i in range(16)) + ")"
+    for i in reversed(range(17)):
+        body = f"(forall x{i} {body})"
+    with pytest.raises(MorleyError, match="arity 17 > 16"):
+        morleyize([parse_fragment(body)], BASE_R)
 
 
 def test_unknown_base_symbol_is_an_error():
