@@ -39,7 +39,6 @@ from .limits import (
     WEIGHT_PRESETS,
     LimitError,
     SeparationError,
-    StageCeilingError,
     build_limit,
     estimate_marginal,
     handle_from_manifest,
@@ -52,7 +51,8 @@ from .limits import (
     unary_fingerprints,
     weight_preset,
 )
-from .logic import LogicError, Permutation, Signature, fingerprint_tables
+from .logic import (CeilingError, LogicError, Permutation, Signature, check_width,
+                    fingerprint_tables)
 from .morley import MorleyError, _qf_from_tree, fragment_from_tree, morleyize, result_to_json
 from .seeds import SeedKey, XiFamily
 from .sexpr import SexprError, parse_many, parse_sexpr
@@ -210,6 +210,7 @@ def _int_list(text: str, what: str) -> tuple[int, ...]:
 
 def _cmd_sample(args):
     sampler = _sampler(args)
+    check_width(args.n, sampler.signature.arities())
     tables = fingerprint_tables(sampler.type_fn(args.n, XiFamily(_seed(args))))
     return EXIT_OK, _facts_text(sampler.signature, tables, args.format)
 
@@ -374,8 +375,6 @@ def _cmd_build_limit(args):
         raise UsageError(f"unknown --guide {args.guide!r}")
     try:
         handle = build_limit(args.stages, _seed(args), base_depth=args.base_depth)
-    except StageCeilingError:
-        raise
     except LimitError as exc:
         doc = {"kind": "build-limit-error", "error": str(exc)}
         return EXIT_VIOLATION, json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -431,8 +430,6 @@ def _cmd_rescale(args):
     try:
         weight = weight_preset(handle, args.preset, stage)
         scaled = rescale(handle, weight)
-    except StageCeilingError:
-        raise
     except LimitError as exc:
         rows = [{"error": str(exc)}]
         return EXIT_VIOLATION, _format_rows(rows, args.format)
@@ -575,7 +572,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         code, text = args.func(args)
-    except (UsageError, StageCeilingError) as exc:
+    except (UsageError, CeilingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

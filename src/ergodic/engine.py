@@ -26,6 +26,7 @@ from .logic import (
     QfFormula,
     Signature,
     TypeFingerprint,
+    check_width,
     num_vars,
     structure_from_fingerprint,
 )
@@ -62,6 +63,7 @@ class AhkSampler:
 
 def sample(sampler: AhkSampler, n: int, seed: SeedKey) -> FiniteStructure:
     """Sample the induced structure on points 0..n-1."""
+    check_width(n, sampler.signature.arities())
     fp = sampler.type_fn(n, XiFamily(seed))
     return structure_from_fingerprint(fp, sampler.signature, n)
 
@@ -119,6 +121,7 @@ def _trials(sampler: AhkSampler, n: int, trials: int, seed: SeedKey) -> Iterator
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
+    check_width(n, sampler.signature.arities())
     return (sampler.type_fn(n, XiFamily(seed.child("trial", t))) for t in range(trials))
 
 
@@ -308,6 +311,7 @@ def coherence_check(
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
+    check_width(n, sampler.signature.arities())
     failures: list[CoherenceFailure] = []
     for t in range(trials):
         key = seed.child("coherence", t)

@@ -40,13 +40,13 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import repeat
 from math import lcm
 from operator import or_
 
 import numpy as np
 
-from .logic import And, Eq, FiniteStructure, LogicError, Not, Or, Rel, Signature, qf_leaves
+from .logic import (And, CeilingError, Eq, FiniteStructure, LogicError, Not, Or, Rel,
+                    Signature, qf_leaves)
 from .morley import (
     Axiom,
     FAnd,
@@ -90,7 +90,7 @@ class LimitError(ValueError):
     pass
 
 
-class StageCeilingError(LimitError):
+class StageCeilingError(CeilingError):
     """A stage past MAX_STAGE was asked for; nothing was allocated."""
 
 
@@ -435,31 +435,6 @@ class KaleidoscopePredicateGuide:
 # ---------------------------------------------------------------------------
 
 
-class _Ones(Sequence):
-    """The sequence of n ones, stored as n."""
-
-    def __init__(self, n: int):
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return _Ones(len(range(self._n)[i]))
-        range(self._n)[i]  # IndexError out of range
-        return 1
-
-    def __iter__(self):
-        return repeat(1, self._n)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Ones) and other._n == self._n
-
-    def __repr__(self) -> str:
-        return f"_Ones({self._n})"
-
-
 @dataclass
 class Stage:
     """One level of the construction.
@@ -469,7 +444,8 @@ class Stage:
     [split, 2*split) are their copies in order, and position 2*split is
     the new element, projecting to the reservoir. Masses are numerators
     over the shared denominator; left out, they take their closed form,
-    1/2^k for every element and for the reservoir.
+    1/2^k for every element and for the reservoir, `nums` then being one
+    Python int 1 viewed `size` times (read-only, no memory per element).
     """
 
     index: int
@@ -477,23 +453,19 @@ class Stage:
     inherit_levels: int  # bitmask: levels determined by the materialized language
     new_symbols: tuple[int, ...] = ()
     demand: tuple[int, int] | None = None  # pattern the scheduled axiom required
-    nums: Sequence[int] | None = None
+    nums: np.ndarray | None = None
     star_num: int = 1
     den: int | None = None
 
     def __post_init__(self) -> None:
         if self.nums is None:
-            self.nums = _Ones(self.size)
+            self.nums = np.broadcast_to(np.array(1, dtype=object), (self.size,))
         if self.den is None:
             self.den = 1 << self.index
 
     @property
     def size(self) -> int:
         return (1 << self.index) - 1
-
-    @property
-    def split(self) -> int:
-        return self.size >> 1
 
     @property
     def uids(self) -> range:
@@ -505,7 +477,7 @@ class Stage:
         return Fraction(self.nums[pos], self.den)
 
     def max_mass(self) -> Fraction:
-        return Fraction(max(self.star_num, max(self.nums, default=0)), self.den)
+        return Fraction(int(np.max(self.nums, initial=self.star_num)), self.den)
 
 
 def init_stage0() -> Stage:
@@ -693,23 +665,21 @@ def stage_invariants(prev: Stage, nxt: Stage,
     """
     theory = guide.theory
     m = prev.size
-    mass_total = sum(nxt.nums) + nxt.star_num == nxt.den
-    mass_positive = nxt.star_num > 0 and all(v > 0 for v in nxt.nums)
+    nums = np.asarray(nxt.nums)
+    mass_total = bool(nums.sum() + nxt.star_num == nxt.den)
+    mass_positive = nxt.star_num > 0 and bool((nums > 0).all())
     bound = nxt.max_mass() <= Fraction(1, 2**nxt.index)
 
-    pushforward_ok = True
+    # cross-multiplied over the two denominators: a position's two
+    # children against it, then the reservoir and the new element
+    # against the reservoir
+    off = (nums[:m] + nums[m:2 * m]) * prev.den != np.asarray(prev.nums) * nxt.den
     pushforward_witness: int | None = None
-    for i in range(m):
-        lhs = Fraction(nxt.nums[i] + nxt.nums[m + i], nxt.den)
-        if lhs != prev.mass(i):
-            pushforward_ok = False
-            pushforward_witness = i
-            break
-    if pushforward_ok:
-        fiber = nxt.star_num + sum(nxt.nums[2 * m:])
-        if Fraction(fiber, nxt.den) != prev.mass(STAR):
-            pushforward_ok = False
-            pushforward_witness = STAR
+    if off.any():
+        pushforward_witness = int(np.argmax(off))
+    elif (nxt.star_num + nums[2 * m:].sum()) * prev.den != prev.star_num * nxt.den:
+        pushforward_witness = STAR
+    pushforward_ok = pushforward_witness is None
 
     # Every guided symbol is a function of the levels it reads plus
     # handle identity, and identity answers agree on every tuple that
@@ -815,9 +785,10 @@ class LimitHandle:
         """
         return 1, 1
 
-    def level_masses(self, k: int) -> tuple[list[int], int, int]:
+    def level_masses(self, k: int) -> tuple[np.ndarray, int, int]:
+        """Stage k's masses: numerators (a read-only view), reservoir, denominator."""
         st = self.stage(k)
-        return list(st.nums), st.star_num, st.den
+        return st.nums, st.star_num, st.den
 
 
 def build_limit(stages: int, seed: SeedKey, base_depth: int = 4,
@@ -1108,13 +1079,12 @@ class Weight:
     """Target masses for a partition of one stage's elements plus the reservoir."""
 
     stage: int
-    labels: tuple[str, ...]
     assignment: tuple[int, ...]  # cell per element position
     star_cell: int
-    masses: tuple[Fraction, ...]
+    masses: tuple[Fraction, ...]  # one per cell
 
     def __post_init__(self) -> None:
-        cells = len(self.labels)
+        cells = len(self.masses)
         used = set(self.assignment) | {self.star_cell}
         if not used <= set(range(cells)):
             raise LimitError("cell index out of range")
@@ -1122,8 +1092,6 @@ class Weight:
             raise LimitError("every cell must be nonempty")
         if any(w <= 0 for w in self.masses):
             raise LimitError("cell masses must be positive")
-        if len(self.masses) != cells:
-            raise LimitError("one mass per cell required")
         if sum(self.masses, Fraction(0)) != 1:
             raise LimitError("cell masses must sum to 1")
 
@@ -1145,7 +1113,7 @@ class RescaledHandle:
             raise LimitError("weight partition does not match the stage")
         self.base = base
         self.weight = weight
-        counts = np.bincount([*weight.assignment, weight.star_cell], minlength=len(weight.labels))
+        counts = np.bincount([*weight.assignment, weight.star_cell], minlength=len(weight.masses))
         each = [Fraction(mass) / int(n) for mass, n in zip(weight.masses, counts)]
         den = lcm(*(f.denominator for f in each))
         self._cell_weights = np.array([f.numerator * (den // f.denominator) for f in each],
@@ -1161,6 +1129,8 @@ class RescaledHandle:
             nums, star = nums[:h] + nums[h:2 * h], star + nums[2 * h]
             self._levels.append((nums, star, den))
         self._levels.reverse()
+        for nums, _star, _den in self._levels:
+            nums.flags.writeable = False
 
     def __getattr__(self, name):
         # stages, the schedule, the theory and the guide come from the base build
@@ -1174,18 +1144,18 @@ class RescaledHandle:
             return star, nums[-1]
         return nums[parent_pos], nums[parent_pos + len(nums) // 2]
 
-    def level_masses(self, k: int) -> tuple[list[int], int, int]:
+    def level_masses(self, k: int) -> tuple[np.ndarray, int, int]:
         K = self.weight.stage
         self.base.advance_to(k)
         if k <= K:
-            nums, star, den = self._levels[k]
-            return nums.tolist(), star, den
+            return self._levels[k]
         # past K, copies take their origin's cell and new elements the reservoir's
         cells = np.array(self.weight.assignment, dtype=np.int64)
         for _ in range(K, k):
             cells = np.concatenate([cells, cells, [self.weight.star_cell]])
-        star = self._cell_weights[self.weight.star_cell]
-        return self._cell_weights[cells].tolist(), star, self._levels[K][2] << (k - K)
+        nums = self._cell_weights[cells]
+        nums.flags.writeable = False
+        return nums, self._cell_weights[self.weight.star_cell], self._levels[K][2] << (k - K)
 
 
 def rescale(handle: LimitHandle, weight: Weight) -> RescaledHandle:
@@ -1215,8 +1185,7 @@ def weight_preset(handle: LimitHandle, name: str, stage: int) -> Weight:
         star = st.mass(STAR)
         share = Fraction(3 if name == "p0-heavy" else 1, 4)  # the P0-true cell's part
         masses = ((1 - star) * share, (1 - star) * (1 - share), star)
-    return Weight(stage, ("P0-true", "P0-false", "reservoir"), assignment, star_cell=2,
-                  masses=masses)
+    return Weight(stage, assignment, star_cell=2, masses=masses)
 
 
 def estimate_marginal(handle: LimitHandle, level: int, trials: int,
@@ -1286,10 +1255,8 @@ def manifest_json(handle: LimitHandle) -> str:
     return json.dumps(build_manifest(handle), indent=2, sort_keys=True)
 
 
-def handle_from_manifest(doc: dict | str, check: bool = False) -> LimitHandle:
+def handle_from_manifest(doc: dict, check: bool = False) -> LimitHandle:
     """Rebuild the limit a manifest describes and confirm it matches."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
     if doc.get("kind") != "build-limit":
         raise LimitError("not a build manifest")
     if doc["guide"] != GUIDE_NAME:

@@ -21,6 +21,10 @@ class LogicError(ValueError):
     pass
 
 
+class CeilingError(ValueError):
+    """Work past a stated size ceiling, refused before any of it is done."""
+
+
 # ---------------------------------------------------------------------------
 # signatures and structures
 # ---------------------------------------------------------------------------
@@ -318,15 +322,27 @@ def _width(arity: int, arities: tuple[int, ...]) -> int:
     return _layout(arity, arities)[1] + arity * (arity - 1) // 2
 
 
+# Widest fingerprint a sampler is asked for: about 77 times the widest
+# benchmark workload's (kaleidoscope k=3, d=8 at n=30: 216k bits).
+MAX_FINGERPRINT_BITS = 1 << 24
+
+
+def check_width(arity: int, arities: tuple[int, ...]) -> None:
+    """CeilingError when a fingerprint of this shape is past MAX_FINGERPRINT_BITS."""
+    if (width := _width(arity, arities)) > MAX_FINGERPRINT_BITS:
+        raise CeilingError(f"the type of {arity} points needs {width} bits,"
+                           f" past the ceiling of {MAX_FINGERPRINT_BITS}")
+
+
 @lru_cache(maxsize=1 << 12)
 def _gather_table(arity: int, arities: tuple[int, ...], coords: tuple[int, ...]):
     """Bit-gather plan behind TypeFingerprint.reindexed.
 
     The source bits are read as the binary string of bits | guard, where
-    guard = 1 << bit_length puts a constant '1' at index 0 and source
-    bit k at index bit_length - k. Returns (getter, guard); `getter`
-    picks the result's digits most significant first, and is None when
-    the result has no bits.
+    guard = 1 << width puts a constant '1' at index 0 and source bit k
+    at index width - k. Returns (getter, guard); `getter` picks the
+    result's digits most significant first, and is None when the result
+    has no bits.
     """
     if any(not 0 <= c < arity for c in coords):
         raise LogicError("coordinate out of range for fingerprint arity")
@@ -358,10 +374,6 @@ class TypeFingerprint:
     sublanguage: tuple[int, ...]
     arities: tuple[int, ...]
     bits: int
-
-    @property
-    def bit_length(self) -> int:
-        return _width(self.arity, self.arities)
 
     def has(self, sub_pos: int, args: tuple[int, ...]) -> bool:
         """Atom value for the sublanguage symbol at position sub_pos."""

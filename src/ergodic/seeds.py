@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import operator
-import secrets
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -70,10 +69,6 @@ class SeedKey:
         if len(text) != 32:
             raise ValueError("seed must be exactly 32 hex digits")
         return cls(int(text, 16))
-
-    @classmethod
-    def random(cls) -> "SeedKey":
-        return cls(secrets.randbits(128))
 
     @property
     def hex(self) -> str:

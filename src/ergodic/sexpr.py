@@ -17,56 +17,46 @@ positions.
 
 from __future__ import annotations
 
+import re
+
+# Deepest nesting of parentheses the reader accepts. Every formula walker
+# downstream recurses once per level, so deeper input is refused here, as
+# bad input, before it can exhaust the interpreter's stack.
+MAX_DEPTH = 100
+
+_TOKEN = re.compile(r"[()]|[^()\s]+")
+
 
 class SexprError(ValueError):
     pass
 
 
-def tokenize(text: str) -> list[str]:
-    out: list[str] = []
-    word = []
-    for ch in text:
-        if ch in "()":
-            if word:
-                out.append("".join(word))
-                word = []
-            out.append(ch)
-        elif ch.isspace():
-            if word:
-                out.append("".join(word))
-                word = []
-        else:
-            word.append(ch)
-    if word:
-        out.append("".join(word))
-    return out
-
-
-def _parse_tokens(tokens: list[str], pos: int):
-    if pos >= len(tokens):
-        raise SexprError("unexpected end of input")
-    tok = tokens[pos]
-    if tok == "(":
-        items = []
-        pos += 1
-        while True:
-            if pos >= len(tokens):
-                raise SexprError("unbalanced parentheses")
-            if tokens[pos] == ")":
-                return items, pos + 1
-            item, pos = _parse_tokens(tokens, pos)
-            items.append(item)
-    if tok == ")":
-        raise SexprError("unexpected ')'")
-    return tok, pos + 1
+def _read(tokens: list[str], pos: int):
+    """The form starting at tokens[pos], and the position after it."""
+    open_lists: list[list] = []
+    for pos in range(pos, len(tokens)):
+        item = tokens[pos]
+        if item == "(":
+            if len(open_lists) == MAX_DEPTH:
+                raise SexprError(f"nesting deeper than {MAX_DEPTH} levels")
+            open_lists.append([])
+            continue
+        if item == ")":
+            if not open_lists:
+                raise SexprError("unexpected ')'")
+            item = open_lists.pop()
+        if not open_lists:
+            return item, pos + 1
+        open_lists[-1].append(item)
+    raise SexprError("unbalanced parentheses")
 
 
 def parse_sexpr(text: str):
     """Parse one s-expression into nested lists of strings."""
-    tokens = tokenize(text)
+    tokens = _TOKEN.findall(text)
     if not tokens:
         raise SexprError("empty input")
-    tree, pos = _parse_tokens(tokens, 0)
+    tree, pos = _read(tokens, 0)
     if pos != len(tokens):
         raise SexprError(f"trailing tokens after form: {tokens[pos:]}")
     return tree
@@ -74,11 +64,11 @@ def parse_sexpr(text: str):
 
 def parse_many(text: str):
     """Parse a whitespace-separated sequence of s-expressions."""
-    tokens = tokenize(text)
+    tokens = _TOKEN.findall(text)
     out = []
     pos = 0
     while pos < len(tokens):
-        tree, pos = _parse_tokens(tokens, pos)
+        tree, pos = _read(tokens, pos)
         out.append(tree)
     return out
 

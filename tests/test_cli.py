@@ -17,6 +17,11 @@ from ergodic.seeds import SeedKey
 SEED_ARGS = ["--seed", "00112233445566778899aabbccddeeff"]
 
 
+def nested_not(depth: int, atom: str) -> str:
+    """`atom` under depth - 1 negations: parentheses nest `depth` deep."""
+    return "(not " * (depth - 1) + atom + ")" * (depth - 1)
+
+
 @pytest.fixture(autouse=True)
 def _in_tmp(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -154,6 +159,14 @@ def test_estimate_csv_to_file(capsys):
          "(forall x (schemeAnd n 03 (rel (P n) x)))"],
         ["morleyize", "--base", "P0/1,P1/1,P2/1", "--sentence",
          "(forall x (schemeAnd n 0 (rel (P n) x)))"],
+        # parentheses nested past the reader's bound
+        ["estimate", "--sampler", "maxgraph:d=2", "--phi", nested_not(1200, "(rel R0 x0 x1)")],
+        ["morleyize", "--base", "P0/1", "--sentence",
+         f"(forall x {nested_not(1200, '(rel P0 x)')})"],
+        # work past a size ceiling, refused before the first draw
+        ["sample", "--sampler", "kaleidoscope:k=6,d=2", "-n", "30"],
+        ["estimate", "--sampler", "maxgraph:d=2", "--phi", "(rel R0 x0 x99999)"],
+        ["roots", "--sampler", "kaleidoscope:k=2,d=3", "-n", "30", "--chi", "(rel R0 x0 x7)"],
     ],
 )
 def test_usage_errors_exit_3(capsys, argv):
@@ -161,6 +174,31 @@ def test_usage_errors_exit_3(capsys, argv):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_formulas_nested_to_the_bound_still_run(capsys):
+    phi = nested_not(100, "(rel R0 x0 x1)")
+    code, out = run(capsys, ["estimate", "--sampler", "maxgraph:d=2", "--phi", phi,
+                             "--trials", "20", *SEED_ARGS])
+    assert code == 0 and jsonl_rows(out)[0]["statistic"] == "measure"
+    sentence = f"(forall x {nested_not(99, '(rel P0 x)')})"
+    code, out = run(capsys, ["morleyize", "--base", "P0/1", "--sentence", sentence])
+    assert code == 0 and json.loads(out)["axioms"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--sampler", "kaleidoscope:k=3,d=8", "-n", "30"],
+        ["roots", "--sampler", "kaleidoscope:k=2,d=8", "-n", "30"],
+        ["roots", "--sampler", "maxgraph:d=16", "-n", "30"],
+        ["roots", "--sampler", "maxgraph:d=16", "-n", "30", "--chi", "(rel R0 x0 x2)"],
+    ],
+)
+def test_benchmark_sizes_stay_under_the_ceilings(capsys, argv):
+    code, _ = run(capsys, [*argv, *SEED_ARGS])
+    assert code in (0, 2)
+    assert capsys.readouterr().err == ""
 
 
 # the seed as typed: upper case, with a leading space

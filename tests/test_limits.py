@@ -161,7 +161,7 @@ def test_fibers_push_mass_forward(handle8):
     # the reservoir's are the reservoir and the new element 2^k - 2
     scaled = rescale(handle8, weight_preset(handle8, "p0-heavy", 4))
     # cells by parity put an origin and its copy in different cells
-    parity = Weight(4, ("even", "odd", "reservoir"), tuple(p % 2 for p in range(15)), 2,
+    parity = Weight(4, tuple(p % 2 for p in range(15)), 2,
                     (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
     for handle in (handle8, scaled, rescale(handle8, parity)):
         for k in range(2, 6):
@@ -244,14 +244,21 @@ def test_a_failed_stage_names_its_checks_and_witnesses():
         " type_preservation (copy 132 departs from origin 5 at level 0)"
     )
     assert h.checked_to == 8 and h.reports[-1].type_witness == (0, (5, 132))
-    # one element's mass doubled: its pushforward fails, and so do the total and the bound
-    h = build_limit(4, SEED, check=False)
-    h.stages[4] = dataclasses.replace(h.stages[4], nums=[2] + [1] * 14)
-    with pytest.raises(LimitError) as err:
-        h.advance_to(4, check=True)
-    assert str(err.value) == (
-        "stage 4 failed its exact checks: mass_total, mass_bound, pushforward (fails at position 0)"
-    )
+    # one stage-4 mass tampered: an original's or a copy's fails at its
+    # stage-3 position, the new element's at the reservoir
+    for pos, num, failed in (
+        (0, 2, "mass_total, mass_bound, pushforward (fails at position 0)"),
+        (9, 2, "mass_total, mass_bound, pushforward (fails at position 2)"),
+        (14, 2, "mass_total, mass_bound, pushforward (fails at the reservoir)"),
+        (3, 0, "mass_total, mass_positive, pushforward (fails at position 3)"),
+    ):
+        h = build_limit(4, SEED, check=False)
+        nums = [1] * 15
+        nums[pos] = num
+        h.stages[4] = dataclasses.replace(h.stages[4], nums=nums)
+        with pytest.raises(LimitError) as err:
+            h.advance_to(4, check=True)
+        assert str(err.value) == f"stage 4 failed its exact checks: {failed}"
 
 
 @pytest.mark.parametrize("seed", [SeedKey(1), SeedKey(7), SeedKey(0xDEE9)])
@@ -322,10 +329,11 @@ def test_point_marginals_match_masses(handle8):
 
 def parent_position(stage, pos: int) -> int:
     """The stage-(k-1) position that stage-k position pos projects to."""
-    if pos < stage.split:
+    split = stage.size >> 1
+    if pos < split:
         return pos
-    if pos < 2 * stage.split:
-        return pos - stage.split
+    if pos < 2 * split:
+        return pos - split
     return STAR
 
 
@@ -524,14 +532,13 @@ def test_rescaled_masses_stay_normalized(handle8):
 def test_weight_validation():
     h = build_limit(3, SEED, check=False)
     st = h.stages[3]
-    labels = ("a", "b")
     assignment = tuple(0 for _ in range(st.size))
     with pytest.raises(LimitError):
-        # cell "b" is never used
-        Weight(3, labels, assignment, 0, (Fraction(1, 2), Fraction(1, 2)))
+        # cell 1 is never used
+        Weight(3, assignment, 0, (Fraction(1, 2), Fraction(1, 2)))
     full = tuple(i % 2 for i in range(st.size))
     with pytest.raises(LimitError):
-        Weight(3, labels, full, 0, (Fraction(1, 2), Fraction(1, 3)))  # not a distribution
+        Weight(3, full, 0, (Fraction(1, 2), Fraction(1, 3)))  # not a distribution
     with pytest.raises(LimitError):
         weight_preset(h, "no-such-preset", 3)
 

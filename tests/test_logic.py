@@ -19,6 +19,7 @@ from ergodic.logic import (
     Signature,
     _eq_bit,
     _layout,
+    _width,
     eval_qf,
     fingerprint_tables,
     num_vars,
@@ -189,8 +190,8 @@ def test_fingerprint_bit_order_is_documented():
                 for t in itertools.product(range(n), repeat=ar)
             ]
             pairs = list(itertools.combinations(range(n), 2))
-            assert fp.bit_length == len(atoms) + len(pairs)
-            assert fp.bits >> fp.bit_length == 0
+            assert _width(fp.arity, fp.arities) == len(atoms) + len(pairs)
+            assert fp.bits >> _width(fp.arity, fp.arities) == 0
             for k, (si, t) in enumerate(atoms):
                 holds = M.holds(fp.sublanguage[si], tuple(tup[x] for x in t))
                 assert fp.has(si, t) == bool(fp.bits >> k & 1) == holds
