@@ -132,6 +132,21 @@ CASES = [
     ("rescale.csv", ["rescale", "--manifest", "build_a.json", "--preset", "p0-heavy",
                      "--trials", "2000", "--seed", SEED_A, "--format", "csv"], 0,
      "5c4b8a9da350c5c47b14ef8a861e9dcfd3710952"),
+    # n = 30, the size of the benchmark's wide structures: a 3.7 MB fact list
+    ("sample_ternary_30.jsonl", ["sample", "--sampler", "kaleidoscope:k=3,d=8", "-n", "30",
+                                 "--seed", SEED_A], 0,
+     "4335a454b19717d4842fb530d49d9eba0873c292"),
+    ("roots_maxgraph_30.jsonl", ["roots", "--sampler", "maxgraph:d=16", "-n", "30",
+                                 "--seed", SEED_A], 0,
+     "137aa2df9e0a048fc9edab78b692965741bcea9e"),
+    ("roots_maxgraph_30.csv", ["roots", "--sampler", "maxgraph:d=16", "-n", "30",
+                               "--seed", SEED_A, "--format", "csv"], 0,
+     "fba547f63e401429b93c2eefcaa4cd4b9acec5cb"),
+    # chi reads R2, outside the fingerprint sublanguage
+    ("roots_k2_sub.jsonl", ["roots", "--sampler", "kaleidoscope:k=2,d=8", "-n", "30",
+                            "--sub", "0 1", "--chi", "(and (rel R2 x0 x1) (not (eq x0 x1)))",
+                            "--seed", SEED_A], 2,
+     "ae92dc444bf99469c098cc8b311995cef3c7e625"),
 ]
 
 
