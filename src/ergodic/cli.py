@@ -120,12 +120,16 @@ def _facts_text(signature: Signature, tables, fmt: str, more=()) -> str:
             for t in np.argwhere(tables[sym]).tolist()
         ]
         return _format_rows([*rows, *more], fmt)
+    heads = [['{"args": [']]  # heads[k][i]: '{"args": [a, b, c' for entry i of a k-ary table
     out = []
     for sym in sorted(tables):
+        table = tables[sym]
+        while len(heads) <= table.ndim:
+            digits = [(", " if len(heads) > 1 else "") + str(i) for i in range(len(table))]
+            heads.append([h + d for h in heads[-1] for d in digits])
         tail = '], "symbol": ' + json.dumps(signature.name(sym)) + "}\n"
-        out.extend(
-            '{"args": [' + ", ".join(map(str, t)) + tail for t in np.argwhere(tables[sym]).tolist()
-        )
+        if hits := [heads[table.ndim][i] for i in np.flatnonzero(table).tolist()]:
+            out.append(tail.join(hits) + tail)
     return "".join(out) + _format_rows(more, fmt)
 
 
@@ -164,7 +168,8 @@ def _formula(text: str, signature: Signature):
     try:
         return _qf_from_tree(parse_sexpr(text), signature)
     except (SexprError, MorleyError, LogicError, ValueError, IndexError) as exc:
-        raise UsageError(f"bad formula {text!r}: {exc}")
+        quoted = repr(text[:60]) + ("..." if len(text) > 60 else "")  # the head, not 7 kB
+        raise UsageError(f"bad formula {quoted}: {exc}")
 
 
 def _int_at_least(low: int):

@@ -45,8 +45,7 @@ from operator import or_
 
 import numpy as np
 
-from .logic import (And, CeilingError, Eq, FiniteStructure, LogicError, Not, Or, Rel,
-                    Signature, qf_leaves)
+from .logic import CeilingError, FiniteStructure, Rel, Signature, prenex_holds, qf_leaves
 from .morley import (
     Axiom,
     FAnd,
@@ -992,39 +991,9 @@ def materialized_universal_axioms(theory: BuildTheory,
 
 
 def snapshot_axiom_holds(sample: LimitSample, axiom: Axiom) -> bool:
-    """The axiom in the snapshot, evaluated on its fact tables.
-
-    The matrix becomes one bool array over all assignments, variable v
-    along axis v, each leaf a view of a table; then one all/any
-    reduction per quantifier, innermost first.
-    """
-    n = len(sample.uids)
-    width = len(axiom.prefix)
-    local = {sym: i for i, sym in enumerate(sample.symbol_ids)}
-
-    def axis(v: int) -> np.ndarray:
-        if v >= width:
-            raise LogicError("free variable unbound by assignment")
-        return np.arange(n).reshape([n if a == v else 1 for a in range(width)])
-
-    def rec(f) -> np.ndarray:
-        if isinstance(f, Rel):
-            table = sample.tables[local[f.sym]]
-            if len(f.args) != table.ndim:
-                raise LogicError(f"arity mismatch for symbol {f.sym}")
-            return np.asarray(table[tuple(axis(v) for v in f.args)])
-        if isinstance(f, Eq):
-            return axis(f.left) == axis(f.right)
-        if isinstance(f, Not):
-            return ~rec(f.sub)
-        if isinstance(f, (And, Or)):
-            return reduce(np.logical_and if isinstance(f, And) else np.logical_or, map(rec, f.subs))
-        raise LogicError(f"not a quantifier-free formula: {f!r}")
-
-    truth = np.broadcast_to(rec(axiom.matrix), (n,) * width)
-    for q in reversed(axiom.prefix):
-        truth = truth.all(axis=-1) if q == "A" else truth.any(axis=-1)
-    return bool(truth)
+    """The axiom in the snapshot, evaluated on its fact tables."""
+    tables = dict(zip(sample.symbol_ids, sample.tables))
+    return prenex_holds(axiom.prefix, axiom.matrix, tables, len(sample.uids))
 
 
 def scheduled_type_literals(theory: BuildTheory,

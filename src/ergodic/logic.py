@@ -9,10 +9,11 @@ canonical order, so equality of fingerprints is equality of types.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, product, repeat
 from operator import itemgetter
-from typing import Callable, Iterator
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -69,6 +70,11 @@ class Signature:
 Fact = tuple[int, tuple[int, ...]]
 
 
+def _read_only(tables: dict[int, np.ndarray]) -> Mapping[int, np.ndarray]:
+    """Read-only views of the tables (as broadcast_to makes them), in a read-only mapping."""
+    return MappingProxyType({sym: np.broadcast_to(t, t.shape) for sym, t in tables.items()})
+
+
 @dataclass(frozen=True)
 class FiniteStructure:
     """Finite structure with domain {0, .., domain_size-1} and closed-world facts."""
@@ -115,7 +121,24 @@ class FiniteStructure:
                 )
             facts.extend(zip(repeat(sym), map(tuple, np.argwhere(table).tolist())))
         object.__setattr__(structure, "facts", frozenset(facts))
+        # keep the tables given, so that reading `tables` costs nothing
+        empty = {sym: np.zeros((domain_size,) * ar, dtype=bool)
+                 for sym, ar in enumerate(signature.arities()) if sym not in tables}
+        object.__setattr__(structure, "tables", _read_only({**tables, **empty}))
         return structure
+
+    @cached_property
+    def tables(self) -> Mapping[int, np.ndarray]:
+        """Symbol index -> its relation as a read-only bool array of shape (n,) * arity.
+
+        Built from `facts` on first read; CeilingError past MAX_FINGERPRINT_BITS cells.
+        """
+        n, arities = self.domain_size, self.signature.arities()
+        _check_cells(sum(n**ar for ar in arities), f"the tables of {n} points")
+        tables = {sym: np.zeros((n,) * ar, dtype=bool) for sym, ar in enumerate(arities)}
+        for sym, args in self.facts:
+            tables[sym][args] = True
+        return _read_only(tables)
 
     def holds(self, sym: int, args: tuple[int, ...]) -> bool:
         return (sym, tuple(args)) in self.facts
@@ -230,30 +253,64 @@ def num_vars(phi: QfFormula) -> int:
 
 def eval_qf(structure: FiniteStructure, phi: QfFormula, assignment: tuple[int, ...]) -> bool:
     """Tarskian evaluation; assignment maps variable i to assignment[i]."""
-    if isinstance(phi, Rel):
-        if phi.sym >= len(structure.signature):
-            raise LogicError(f"unknown symbol index {phi.sym}")
-        if len(phi.args) != structure.signature.arity(phi.sym):
-            raise LogicError(
-                f"arity mismatch for {structure.signature.name(phi.sym)}"
-            )
-        try:
-            args = tuple(assignment[v] for v in phi.args)
-        except IndexError:
-            raise LogicError("free variable unbound by assignment") from None
-        return structure.holds(phi.sym, args)
-    if isinstance(phi, Eq):
-        try:
-            return assignment[phi.left] == assignment[phi.right]
-        except IndexError:
-            raise LogicError("free variable unbound by assignment") from None
-    if isinstance(phi, Not):
-        return not eval_qf(structure, phi.sub, assignment)
-    if isinstance(phi, And):
-        return all(eval_qf(structure, s, assignment) for s in phi.subs)
-    if isinstance(phi, Or):
-        return any(eval_qf(structure, s, assignment) for s in phi.subs)
-    raise LogicError(f"not a quantifier-free formula: {phi!r}")
+    def var(v: int) -> np.intp:
+        if v >= len(assignment):
+            raise LogicError("free variable unbound by assignment")
+        if not 0 <= assignment[v] < structure.domain_size:
+            raise LogicError(f"assignment element {assignment[v]} out of domain")
+        return np.intp(assignment[v])
+
+    return bool(qf_array(phi, structure.tables, var))
+
+
+def qf_array(phi: QfFormula, tables: Mapping[int, np.ndarray],
+             var: Callable[[int], np.ndarray]) -> np.ndarray:
+    """phi at many assignments at once: the one evaluator of QF formulas.
+
+    Variable v is the index array var(v): an axis of a grid (qf_grid), a
+    column of a tuple array, or one element; the atom s(v1, .., vk) is
+    tables[s] at (var(v1), .., var(vk)). Every leaf is read, so a bad
+    symbol or arity raises LogicError whatever the tables hold.
+    """
+    def rec(f: QfFormula):
+        if isinstance(f, Rel):
+            table = tables.get(f.sym)
+            if table is None:
+                raise LogicError(f"unknown symbol index {f.sym}")
+            if len(f.args) != table.ndim:
+                raise LogicError(f"arity mismatch for symbol {f.sym}")
+            return table[tuple(map(var, f.args))]
+        if isinstance(f, Eq):
+            return var(f.left) == var(f.right)
+        if isinstance(f, Not):
+            return np.logical_not(rec(f.sub))
+        if isinstance(f, And):
+            return reduce(np.logical_and, map(rec, f.subs), np.True_)
+        if isinstance(f, Or):
+            return reduce(np.logical_or, map(rec, f.subs), np.False_)
+        raise LogicError(f"not a quantifier-free formula: {f!r}")
+
+    return np.asarray(rec(phi))
+
+
+def qf_grid(phi: QfFormula, tables: Mapping[int, np.ndarray], n: int, width: int) -> np.ndarray:
+    """phi at all n**width assignments: shape (n,) * width, variable v along axis v."""
+    _check_cells(n**width, f"{width} variables over {n} points")
+
+    def axis(v: int) -> np.ndarray:
+        if v >= width:
+            raise LogicError("free variable unbound by assignment")
+        return np.arange(n).reshape([n if a == v else 1 for a in range(width)])
+
+    return np.broadcast_to(qf_array(phi, tables, axis), (n,) * width)
+
+
+def prenex_holds(prefix: str, matrix: QfFormula, tables: Mapping[int, np.ndarray], n: int) -> bool:
+    """prefix.matrix on {0, .., n-1}: its grid folded by all/any per A/E, innermost first."""
+    truth = qf_grid(matrix, tables, n, len(prefix))
+    for q in reversed(prefix):
+        truth = truth.all(axis=-1) if q == "A" else truth.any(axis=-1)
+    return bool(truth)
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +380,19 @@ def _width(arity: int, arities: tuple[int, ...]) -> int:
 
 
 # Widest fingerprint a sampler is asked for: about 77 times the widest
-# benchmark workload's (kaleidoscope k=3, d=8 at n=30: 216k bits).
+# benchmark workload's (kaleidoscope k=3, d=8 at n=30: 216k bits). The
+# array evaluators hold at most this many cells in one bool array too.
 MAX_FINGERPRINT_BITS = 1 << 24
+
+
+def _check_cells(cells: int, what: str) -> None:
+    if cells > MAX_FINGERPRINT_BITS:
+        raise CeilingError(f"{what} needs {cells} bits, past the ceiling of {MAX_FINGERPRINT_BITS}")
 
 
 def check_width(arity: int, arities: tuple[int, ...]) -> None:
     """CeilingError when a fingerprint of this shape is past MAX_FINGERPRINT_BITS."""
-    if (width := _width(arity, arities)) > MAX_FINGERPRINT_BITS:
-        raise CeilingError(f"the type of {arity} points needs {width} bits,"
-                           f" past the ceiling of {MAX_FINGERPRINT_BITS}")
+    _check_cells(_width(arity, arities), f"the type of {arity} points")
 
 
 @lru_cache(maxsize=1 << 12)
@@ -486,6 +547,34 @@ def _qf_test(
     return rec(phi)
 
 
+def sub_arities(signature: Signature, sublanguage: tuple[int, ...]) -> tuple[int, ...]:
+    """The arities of a sublanguage's symbols; LogicError for an index outside the signature."""
+    if any(not 0 <= s < len(signature) for s in sublanguage):
+        raise LogicError(f"sublanguage {sublanguage} has a symbol outside the signature")
+    return tuple(signature.arity(s) for s in sublanguage)
+
+
+def fingerprint_bits(structure: FiniteStructure, tuples: np.ndarray,
+                     sublanguage: tuple[int, ...]) -> np.ndarray:
+    """Fingerprint bits of the rows of a (T, m) int array, bit k in column k (see _layout).
+
+    Each symbol's block is its table gathered at the tuples' coordinates.
+    """
+    count, m = tuples.shape
+    arities = sub_arities(structure.signature, sublanguage)
+    offsets, eq_base = _layout(m, arities)
+    width = _width(m, arities)
+    _check_cells(count * width, f"the types of {count} {m}-tuples")
+    out = np.empty((count, width), dtype=bool)
+    for sym, ar, k in zip(sublanguage, arities, offsets):
+        # the block's argument tuples in layout (C) order, one row per argument
+        coords = np.indices((m,) * ar).reshape(ar, m**ar)
+        out[:, k:k + m**ar] = structure.tables[sym][tuple(tuples[:, c] for c in coords)]
+    for k, (i, j) in enumerate(combinations(range(m), 2), eq_base):
+        out[:, k] = tuples[:, i] == tuples[:, j]
+    return out
+
+
 def qf_fingerprint(
     structure: FiniteStructure,
     tup: tuple[int, ...],
@@ -498,20 +587,9 @@ def qf_fingerprint(
         if not 0 <= a < structure.domain_size:
             raise LogicError("tuple element out of domain")
     sublanguage = tuple(sublanguage)
-    arities = tuple(structure.signature.arity(s) for s in sublanguage)
-    offsets, eq_base = _layout(len(tup), arities)
-    facts = structure.facts
-    bits = 0
-    for sym, ar, k in zip(sublanguage, arities, offsets):
-        # the block's atoms in layout order: sym on each tuple over tup
-        for args in product(tup, repeat=ar):
-            if (sym, args) in facts:
-                bits |= 1 << k
-            k += 1
-    for k, (a, b) in enumerate(combinations(tup, 2), eq_base):
-        if a == b:
-            bits |= 1 << k
-    return TypeFingerprint(len(tup), sublanguage, arities, bits)
+    (row,) = fingerprint_bits(structure, np.array([tup], dtype=np.intp), sublanguage)
+    bits = int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+    return TypeFingerprint(len(tup), sublanguage, sub_arities(structure.signature, sublanguage), bits)
 
 
 def fingerprint_tables(fp: TypeFingerprint) -> dict[int, np.ndarray]:

@@ -34,6 +34,8 @@ import re
 from dataclasses import dataclass, field, replace
 from itertools import product
 
+import numpy as np
+
 from . import sexpr
 from .logic import (
     And,
@@ -45,9 +47,10 @@ from .logic import (
     Rel,
     Signature,
     conj,
-    eval_qf,
     iff,
     implies,
+    prenex_holds,
+    qf_grid,
 )
 
 
@@ -598,31 +601,17 @@ def check_pi2minus(axioms) -> bool:
 
 def axiom_holds(structure: FiniteStructure, axiom: Axiom) -> bool:
     """Evaluate a prenex axiom over the structure's finite domain."""
-    n = structure.domain_size
-
-    def rec(pos: int, assignment: tuple[int, ...]) -> bool:
-        if pos == len(axiom.prefix):
-            return eval_qf(structure, axiom.matrix, assignment)
-        branch = (rec(pos + 1, assignment + (e,)) for e in range(n))
-        return all(branch) if axiom.prefix[pos] == "A" else any(branch)
-
-    return rec(0, ())
+    return prenex_holds(axiom.prefix, axiom.matrix, structure.tables, structure.domain_size)
 
 
 def qtype_prefix_realized(structure: FiniteStructure, qtype: QType) -> list[tuple[int, ...]]:
-    """Tuples realizing every materialized literal of the type."""
-    n = structure.domain_size
-    hits = []
-    for assignment in product(range(n), repeat=qtype.arity):
-        ok = True
-        for lit in qtype.literals:
-            args = tuple(assignment[i] for i in lit.args)
-            if structure.holds(lit.symbol, args) != lit.positive:
-                ok = False
-                break
-        if ok:
-            hits.append(assignment)
-    return hits
+    """Tuples realizing every materialized literal of the type, in product order."""
+    literals = [
+        Rel(lit.symbol, lit.args) if lit.positive else Not(Rel(lit.symbol, lit.args))
+        for lit in qtype.literals
+    ]
+    truth = qf_grid(conj(*literals), structure.tables, structure.domain_size, qtype.arity)
+    return list(map(tuple, np.argwhere(truth).tolist()))
 
 
 # ---------------------------------------------------------------------------

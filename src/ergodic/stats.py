@@ -14,6 +14,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .engine import AhkSampler, StatReport, _report, _trials
 from .logic import (
     CeilingError,
@@ -21,9 +23,10 @@ from .logic import (
     LogicError,
     QfFormula,
     TypeFingerprint,
-    eval_qf,
+    fingerprint_bits,
     num_vars,
-    qf_fingerprint,
+    qf_array,
+    sub_arities,
 )
 from .seeds import SeedKey
 
@@ -35,8 +38,9 @@ __all__ = [
     "collision_stat",
 ]
 
-# Most argument tuples rootedness_check enumerates: some 2.5 s and 65 MB, at
-# 25 us and 650 bytes a tuple (kaleidoscope k=2, d=8, n=30; 2-vCPU machine).
+# Most argument tuples rootedness_check enumerates: some 1.2 s and 70 MB, at
+# 12 us and 700 bytes a tuple (kaleidoscope k=2, d=8, the 97,290 3-tuples of
+# n = 47, nearly each its own type and report; 2-vCPU machine).
 MAX_ROOT_TUPLES = 10**5
 
 
@@ -61,13 +65,26 @@ class RootReport:
         }
 
 
-def _common_support(tuples: list[tuple[int, ...]]) -> tuple[int, ...]:
-    common = set(tuples[0])
-    for tup in tuples[1:]:
-        common &= set(tup)
-        if not common:
-            break
-    return tuple(sorted(common))
+def _realizations(M: FiniteStructure, m: int, sub: tuple[int, ...]):
+    """Every injective m-tuple of M in itertools.permutations order, as tuples
+    and as the rows of an int array, and the row numbers realizing each
+    fingerprint, keyed by its bits; CeilingError past MAX_ROOT_TUPLES tuples.
+    """
+    if (count := math.perm(M.domain_size, m)) > MAX_ROOT_TUPLES:
+        raise CeilingError(f"{m} variables over {M.domain_size} points make {count} tuples,"
+                           f" past the ceiling of {MAX_ROOT_TUPLES}")
+    tuples = list(itertools.permutations(range(M.domain_size), m))
+    rows = np.array(tuples, dtype=np.intp).reshape(count, m)
+    packed = np.packbits(fingerprint_bits(M, rows, sub), axis=1, bitorder="little")
+    groups: dict[bytes, list[int]] = {}
+    for row, key in enumerate(map(bytes, packed)):
+        groups.setdefault(key, []).append(row)
+    return tuples, rows, {int.from_bytes(key, "little"): group for key, group in groups.items()}
+
+
+def _root_report(fp: TypeFingerprint, hits: list[tuple[int, ...]]) -> RootReport:
+    roots = tuple(sorted(set(hits[0]).intersection(*hits[1:])))
+    return RootReport(fp, tuple(hits), roots, bool(roots))
 
 
 def find_roots(M: FiniteStructure, fp: TypeFingerprint) -> RootReport:
@@ -79,15 +96,11 @@ def find_roots(M: FiniteStructure, fp: TypeFingerprint) -> RootReport:
     """
     if fp.arity > M.domain_size:
         raise LogicError("fingerprint arity exceeds domain size")
-    hits = [
-        tup
-        for tup in itertools.permutations(range(M.domain_size), fp.arity)
-        if qf_fingerprint(M, tup, fp.sublanguage) == fp
-    ]
-    if not hits:
+    tuples, _, realized = _realizations(M, fp.arity, fp.sublanguage)
+    group = realized.get(fp.bits) if sub_arities(M.signature, fp.sublanguage) == fp.arities else None
+    if not group:
         return RootReport(fp, (), (), True, "unrealized")
-    roots = _common_support(hits)
-    return RootReport(fp, tuple(hits), roots, bool(roots))
+    return _root_report(fp, [tuples[r] for r in group])
 
 
 @dataclass(frozen=True)
@@ -114,31 +127,23 @@ def rootedness_check(
 ) -> RootednessReport:
     """Check that every realized fingerprint admitted by chi is rooted.
 
-    chi is evaluated per tuple on the structure itself, so it may read
+    chi is evaluated on every tuple of the structure itself, so it may read
     symbols outside the fingerprint sublanguage; a fingerprint counts
     as admitted once any of its realizing tuples satisfies chi. Roots
     are still intersected over all realizations of the fingerprint,
     matching find_roots.
     """
-    if sub is None:
-        sub = tuple(range(len(M.signature)))
+    sub = tuple(range(len(M.signature))) if sub is None else tuple(sub)
     m = num_vars(chi)
-    if (tuples := math.perm(M.domain_size, m)) > MAX_ROOT_TUPLES:
-        raise CeilingError(f"{m} variables over {M.domain_size} points make {tuples} tuples,"
-                           f" past the ceiling of {MAX_ROOT_TUPLES}")
-    realized: dict[TypeFingerprint, list[tuple[int, ...]]] = {}
-    admitted: set[TypeFingerprint] = set()
-    for tup in itertools.permutations(range(M.domain_size), m):
-        fp = qf_fingerprint(M, tup, sub)
-        realized.setdefault(fp, []).append(tup)
-        if fp not in admitted and eval_qf(M, chi, tup):
-            admitted.add(fp)
-    reports = []
-    for fp in sorted(admitted, key=lambda f: f.bits):
-        hits = realized[fp]
-        roots = _common_support(hits)
-        reports.append(RootReport(fp, tuple(hits), roots, bool(roots)))
-    return RootednessReport(m, tuple(sub), tuple(reports))
+    tuples, rows, realized = _realizations(M, m, sub)
+    admits = np.broadcast_to(qf_array(chi, M.tables, lambda v: rows[:, v]), len(rows)).tolist()
+    arities = sub_arities(M.signature, sub)
+    reports = tuple(
+        _root_report(TypeFingerprint(m, sub, arities, bits), [tuples[r] for r in group])
+        for bits, group in sorted(realized.items())
+        if any(admits[r] for r in group)
+    )
+    return RootednessReport(m, sub, reports)
 
 
 def collision_stat(

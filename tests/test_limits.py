@@ -41,7 +41,7 @@ from ergodic.limits import (
     unary_fingerprints,
     weight_preset,
 )
-from ergodic.logic import And, Eq, FiniteStructure, Not, Or, Rel, Signature, implies
+from ergodic.logic import And, Eq, FiniteStructure, Not, Or, Rel, implies
 from ergodic.morley import (
     Axiom,
     FAnd,
@@ -55,7 +55,6 @@ from ergodic.morley import (
     FSchemeOr,
     MorleyError,
     RelRef,
-    axiom_holds,
     canonical_vars,
 )
 from ergodic.seeds import BITS_PER_STREAM, SeedKey, XiFamily
@@ -634,17 +633,31 @@ def test_new_copies_mostly_leave_their_first_word_undrawn():
 
 
 def recursive_axiom_holds(samp, axiom, theory) -> bool:
-    """The axiom by `morley.axiom_holds`: recursion over every assignment.
+    """The axiom by recursion over every assignment, one fact probe per atom.
 
-    The snapshot's facts are put back on their ambient symbol indices, so
-    the matrix is evaluated as the theory wrote it.
+    The matrix names the theory's symbols; each is read through the
+    snapshot's local index for it.
     """
-    ambient = FiniteStructure(
-        Signature(tuple(map(theory.symbol, range(max(samp.symbol_ids) + 1)))),
-        samp.structure.domain_size,
-        frozenset((samp.symbol_ids[local], t) for local, t in samp.structure.facts),
-    )
-    return axiom_holds(ambient, axiom)
+    local = {sym: i for i, sym in enumerate(samp.symbol_ids)}
+    n = samp.structure.domain_size
+
+    def matrix(f, a) -> bool:
+        if isinstance(f, Rel):
+            return samp.structure.holds(local[f.sym], tuple(a[v] for v in f.args))
+        if isinstance(f, Eq):
+            return a[f.left] == a[f.right]
+        if isinstance(f, Not):
+            return not matrix(f.sub, a)
+        values = (matrix(s, a) for s in f.subs)
+        return all(values) if isinstance(f, And) else any(values)
+
+    def rec(pos: int, a: tuple[int, ...]) -> bool:
+        if pos == len(axiom.prefix):
+            return matrix(axiom.matrix, a)
+        branch = (rec(pos + 1, a + (e,)) for e in range(n))
+        return all(branch) if axiom.prefix[pos] == "A" else any(branch)
+
+    return rec(0, ())
 
 
 def per_fact_type_omitted(samp, theory) -> bool:
