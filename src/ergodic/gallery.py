@@ -13,9 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import comb
 
 from .engine import AhkSampler
-from .logic import Signature, TypeFingerprint, _atom_bit, _layout, pack_atoms
+from .logic import CeilingError, Signature, TypeFingerprint, _atom_bit, _layout, pack_atoms
 from .seeds import BITS_PER_STREAM, XiFamily
 
 
@@ -40,6 +41,11 @@ def _relation_block(prefix: str, count: int, arity: int) -> tuple[tuple[str, int
 
 # Fast-path masks; bit positions come from logic's fingerprint layout.
 
+# Most C(n, k) * n**k, the k-subsets times the span of a mask: about 0.1 bytes
+# each (n = 20, k = 4: 7.8e8, 85 MB, 0.7 s on a 2-vCPU machine). The benchmark's
+# widest, n = 30 and k = 3, is 1.1e8; n = 60 and k = 4 would be 6.3e12.
+MAX_ORDERING_BITS = 1 << 30
+
 
 @lru_cache(maxsize=None)
 def _orderings(n: int, k: int) -> tuple[tuple[tuple[frozenset, int], ...], int]:
@@ -47,8 +53,12 @@ def _orderings(n: int, k: int) -> tuple[tuple[tuple[frozenset, int], ...], int]:
 
     Subsets come in itertools.combinations order. Also returns the block
     stride n**k, the distance between the bits of one tuple under
-    consecutive k-ary symbols.
+    consecutive k-ary symbols. CeilingError, before any work, when the
+    masks pass MAX_ORDERING_BITS.
     """
+    if (units := comb(n, k) * n**k) > MAX_ORDERING_BITS:
+        raise CeilingError(f"the {k}-subsets of {n} points make {units} mask bits,"
+                           f" past the ceiling of {MAX_ORDERING_BITS}")
     subsets = tuple(
         (frozenset(c), sum(1 << _atom_bit(n, (k,), 0, t) for t in permutations(c)))
         for c in combinations(range(n), k)

@@ -165,6 +165,7 @@ def test_estimate_csv_to_file(capsys):
          f"(forall x {nested_not(1200, '(rel P0 x)')})"],
         # work past a size ceiling, refused before the first draw
         ["sample", "--sampler", "kaleidoscope:k=6,d=2", "-n", "30"],
+        ["sample", "--sampler", "kaleidoscope:k=4,d=1", "-n", "60"],  # C(60, 4) subset masks
         ["estimate", "--sampler", "maxgraph:d=2", "--phi", "(rel R0 x0 x99999)"],
         ["roots", "--sampler", "kaleidoscope:k=2,d=3", "-n", "30", "--chi", "(rel R0 x0 x7)"],
     ],
@@ -174,6 +175,16 @@ def test_usage_errors_exit_3(capsys, argv):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_a_bad_formula_is_quoted_by_its_prefix(capsys):
+    phi = nested_not(1200, "(rel R0 x0 x1)")  # 7,262 characters
+    code = main(["estimate", "--sampler", "maxgraph:d=2", "--phi", phi, *SEED_ARGS])
+    err = capsys.readouterr().err
+    assert code == 3 and err.count("\n") == 1
+    assert len(err) < 200 and repr(phi[:60]) + "..." in err
+    code = main(["estimate", "--sampler", "maxgraph:d=2", "--phi", "(rel R9 x0 x1)", *SEED_ARGS])
+    assert code == 3 and "'(rel R9 x0 x1)':" in capsys.readouterr().err
 
 
 def test_formulas_nested_to_the_bound_still_run(capsys):

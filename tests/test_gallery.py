@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +12,7 @@ import pytest
 from ergodic.engine import estimate_measure, sample
 from ergodic.gallery import (
     GALLERY,
+    MAX_ORDERING_BITS,
     BipartiteLabels,
     BlowupControl,
     GeometricGraph,
@@ -18,11 +20,12 @@ from ergodic.gallery import (
     KaleidoscopeHypergraph,
     MaxGraph,
     MixtureControl,
+    _orderings,
     parse_sampler_spec,
     truncated_geometric,
 )
 from ergodic.fixtures import BrokenSupersetSampler, EmptySampler, IndexKeyedSampler
-from ergodic.logic import FiniteStructure, Rel, qf_fingerprint
+from ergodic.logic import CeilingError, FiniteStructure, Rel, qf_fingerprint
 from ergodic.seeds import BITS_PER_STREAM, SeedKey, XiFamily
 
 SEED = SeedKey.from_hex("00112233445566778899aabbccddeeff")
@@ -412,3 +415,19 @@ def test_type_fn_matches_atom_by_atom_reference(sampler, reference):
             want = reference(sampler, n, XiFamily(key, remap=remap, trace=want_trace))
             assert got == want
             assert got_trace == want_trace
+
+
+def test_subset_masks_past_the_ceiling_are_refused_before_any_work():
+    # C(60, 4) = 487,635 masks, each spanning up to 60**4 bits
+    assert math.comb(60, 4) * 60**4 > MAX_ORDERING_BITS >= math.comb(30, 3) * 30**3
+    before = _orderings.cache_info().currsize
+    sampler = KaleidoscopeHypergraph(4, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CeilingError, match="ceiling"):
+            sampler.type_fn(60, XiFamily(SEED))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert _orderings.cache_info().currsize == before
