@@ -168,7 +168,7 @@ def _formula(text: str, signature: Signature):
     try:
         return _qf_from_tree(parse_sexpr(text), signature)
     except (SexprError, MorleyError, LogicError, ValueError, IndexError) as exc:
-        quoted = repr(text[:60]) + ("..." if len(text) > 60 else "")  # the head, not 7 kB
+        quoted = repr(text[:60]) + ("..." if len(text) > 60 else "")  # one short line, however long
         raise UsageError(f"bad formula {quoted}: {exc}")
 
 

@@ -295,7 +295,7 @@ def qf_array(phi: QfFormula, tables: Mapping[int, np.ndarray],
 
 def qf_grid(phi: QfFormula, tables: Mapping[int, np.ndarray], n: int, width: int) -> np.ndarray:
     """phi at all n**width assignments: shape (n,) * width, variable v along axis v."""
-    _check_cells(n**width, f"{width} variables over {n} points")
+    _check_cells(n**width, f"a grid of {width} variables over {n} points")
 
     def axis(v: int) -> np.ndarray:
         if v >= width:
@@ -564,7 +564,7 @@ def fingerprint_bits(structure: FiniteStructure, tuples: np.ndarray,
     arities = sub_arities(structure.signature, sublanguage)
     offsets, eq_base = _layout(m, arities)
     width = _width(m, arities)
-    _check_cells(count * width, f"the types of {count} {m}-tuples")
+    _check_cells(count * width, f"a sweep of {count} {m}-tuples")
     out = np.empty((count, width), dtype=bool)
     for sym, ar, k in zip(sublanguage, arities, offsets):
         # the block's argument tuples in layout (C) order, one row per argument

@@ -66,9 +66,11 @@ class RootReport:
 
 
 def _realizations(M: FiniteStructure, m: int, sub: tuple[int, ...]):
-    """Every injective m-tuple of M in itertools.permutations order, as tuples
-    and as the rows of an int array, and the row numbers realizing each
-    fingerprint, keyed by its bits; CeilingError past MAX_ROOT_TUPLES tuples.
+    """Every injective m-tuple of M, and which of them realize each fingerprint.
+
+    Returns the tuples in itertools.permutations order, as tuples and as
+    the rows of an int array, and a dict from fingerprint bits to the row
+    numbers realizing them; CeilingError past MAX_ROOT_TUPLES tuples.
     """
     if (count := math.perm(M.domain_size, m)) > MAX_ROOT_TUPLES:
         raise CeilingError(f"{m} variables over {M.domain_size} points make {count} tuples,"

@@ -28,6 +28,7 @@ from ergodic.logic import (
     Or,
     Rel,
     Signature,
+    TypeFingerprint,
     _layout,
     eval_qf,
     fingerprint_bits,
@@ -166,7 +167,7 @@ def line_facts_text(signature, tables):
 def test_prenex_holds_matches_the_recursion():
     rng = random.Random(5)
     for n in SIZES:
-        for trial in range(6):
+        for _ in range(6):
             S = random_structure(rng, n, density=rng.choice((0.2, 0.5, 0.8)))
             for prefix in PREFIXES:
                 for _ in range(8):
@@ -349,11 +350,11 @@ def test_rootedness_matches_the_tuple_sweep():
 def test_find_roots_reports_a_mismatched_layout_unrealized():
     S = random_structure(random.Random(14), 5)
     fp = qf_fingerprint(S, (0, 1), (1, 2))
-    foreign = type(fp)(fp.arity, fp.sublanguage, (1, 1), fp.bits)
+    foreign = TypeFingerprint(fp.arity, fp.sublanguage, (1, 1), fp.bits)
     assert find_roots(S, fp).flag is None
     assert find_roots(S, foreign).flag == "unrealized"
     with pytest.raises(LogicError):
-        find_roots(S, type(fp)(2, (7,), (1,), 0))
+        find_roots(S, TypeFingerprint(2, (7,), (1,), 0))
 
 
 def test_the_sweep_refuses_a_bit_array_past_the_ceiling():
