@@ -15,8 +15,10 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
 
+import numpy as np
+
 from .engine import AhkSampler
-from .logic import CeilingError, Signature, TypeFingerprint, _atom_bit, _layout, pack_atoms
+from .logic import CeilingError, Signature, TypeFingerprint, _layout, pack_atoms
 from .seeds import BITS_PER_STREAM, XiFamily
 
 
@@ -42,8 +44,8 @@ def _relation_block(prefix: str, count: int, arity: int) -> tuple[tuple[str, int
 # Fast-path masks; bit positions come from logic's fingerprint layout.
 
 # Most C(n, k) * n**k, the k-subsets times the span of a mask: about 0.1 bytes
-# each (n = 20, k = 4: 7.8e8, 85 MB, 0.7 s on a 2-vCPU machine). The benchmark's
-# widest, n = 30 and k = 3, is 1.1e8; n = 60 and k = 4 would be 6.3e12.
+# each (n = 20, k = 4: 7.8e8, 85 MB kept, 92 MB peak, 0.3 s on a 2-vCPU machine).
+# The benchmark's widest, n = 30 and k = 3, is 1.1e8; n = 60 and k = 4 would be 6.3e12.
 MAX_ORDERING_BITS = 1 << 30
 
 
@@ -59,12 +61,14 @@ def _orderings(n: int, k: int) -> tuple[tuple[tuple[frozenset, int], ...], int]:
     if (units := comb(n, k) * n**k) > MAX_ORDERING_BITS:
         raise CeilingError(f"the {k}-subsets of {n} points make {units} mask bits,"
                            f" past the ceiling of {MAX_ORDERING_BITS}")
-    subsets = tuple(
-        (frozenset(c), sum(1 << _atom_bit(n, (k,), 0, t) for t in permutations(c)))
-        for c in combinations(range(n), k)
-    )
-    _, stride = _layout(n, (k,))
-    return subsets, stride
+    combos = list(combinations(range(n), k))
+    # an ordering's bit is its tuple as a base-n numeral, as in _atom_bit (no k! rows if n < k)
+    orders = np.array(list(permutations(range(k))) if combos else [], dtype=np.intp)
+    bits = np.array(combos, dtype=np.int64).reshape(-1, k)[:, orders.reshape(-1, k)]
+    bits = bits @ n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    subsets = tuple((frozenset(c), sum(1 << b for b in row))
+                    for c, row in zip(combos, bits.tolist()))
+    return subsets, _layout(n, (k,))[1]
 
 
 def _symbol_bytes(d: int) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
@@ -85,12 +89,8 @@ def _symbol_bytes(d: int) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]],
     return tuple(out)
 
 
-@lru_cache(maxsize=64)
-def _spread_table(stride: int) -> tuple[int, ...]:
-    """Entry b: bit 7-q of the byte b moved to bit q * stride, for q < 8."""
-    return tuple(
-        sum(1 << q * stride for q in range(8) if b >> (7 - q) & 1) for b in range(256)
-    )
+# Entry b: the q < 8 where bit 7-q of the byte b is set, most significant first.
+_SET_BITS = tuple(tuple(q for q in range(8) if b >> (7 - q) & 1) for b in range(256))
 
 
 @lru_cache(maxsize=None)
@@ -118,22 +118,21 @@ class KaleidoscopeHypergraph(AhkSampler):
 
     def type_fn(self, n: int, xs: XiFamily) -> TypeFingerprint:
         # Bit m of the value at a k-set is R_m on every ordering of the set.
-        # Per byte of symbol bits, OR together the ordering masks of the
-        # sets that share a byte value, then spread each such byte to one
-        # block stride per symbol by a multiplication. Non-injective
-        # tuples stay false without being visited.
+        # Per byte of symbol bits, OR each set's ordering mask into one
+        # accumulator per bit set in its byte, then shift each accumulator
+        # once to its symbol's block. Non-injective tuples stay false
+        # without being visited.
         subsets, stride = _orderings(n, self.k)
-        table = _spread_table(stride) if subsets else ()
         bits = 0
         for stream, chunks in self._symbol_bytes:
             words = [(xs.raw(s, stream), mask) for s, mask in subsets]
             for shift, keep, sym in chunks:
-                groups: dict[int, int] = {}
+                per_bit: dict[int, int] = {}
                 for word, mask in words:
-                    b = word >> shift & keep
-                    groups[b] = groups.get(b, 0) | mask
-                for b, masks in groups.items():
-                    bits |= masks * table[b] << sym * stride
+                    for q in _SET_BITS[word >> shift & keep]:
+                        per_bit[q] = per_bit.get(q, 0) | mask
+                for q, masks in per_bit.items():
+                    bits |= masks << (sym + q) * stride
         return self._from_bits(n, bits)
 
 

@@ -894,7 +894,7 @@ class LimitSample:
     """A snapshot; `tables[i]` holds the facts of local symbol i as a bool table.
 
     `structure` holds the same facts as a FiniteStructure. Pass None to
-    build it from the tables on first read.
+    build it from the tables.
     """
 
     signature: Signature
@@ -907,16 +907,9 @@ class LimitSample:
 
     def __post_init__(self):
         if self.structure is None:
-            del self.structure
-
-    def __getattr__(self, name: str):
-        # reached only while `structure` is unset
-        if name != "structure":
-            raise AttributeError(name)
-        self.structure = FiniteStructure.from_tables(
-            self.signature, len(self.uids), dict(enumerate(self.tables))
-        )
-        return self.structure
+            self.structure = FiniteStructure.from_tables(
+                self.signature, len(self.uids), dict(enumerate(self.tables))
+            )
 
 
 def sample_structure(handle: LimitHandle, m: int, depth: int, seed: SeedKey,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations, product, repeat
+from itertools import combinations, product
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
@@ -107,10 +107,10 @@ class FiniteStructure:
         shape (domain_size,) * arity, in C order. Checking each table's
         dtype and shape against the signature rules out every unknown
         symbol, wrong arity and out-of-domain argument at once, so the
-        facts skip the per-fact check that __post_init__ makes.
+        facts skip the per-fact check that __post_init__ makes. They are
+        read off the tables on first use, so the tables must not change.
         """
         structure = cls(signature, domain_size, frozenset())
-        facts = []
         for sym, table in tables.items():
             if not 0 <= sym < len(signature):
                 raise LogicError(f"table for unknown symbol index {sym}")
@@ -119,13 +119,21 @@ class FiniteStructure:
                 raise LogicError(
                     f"table for {signature.name(sym)} must be a bool array of shape {shape}"
                 )
-            facts.extend(zip(repeat(sym), map(tuple, np.argwhere(table).tolist())))
-        object.__setattr__(structure, "facts", frozenset(facts))
         # keep the tables given, so that reading `tables` costs nothing
         empty = {sym: np.zeros((domain_size,) * ar, dtype=bool)
                  for sym, ar in enumerate(signature.arities()) if sym not in tables}
         object.__setattr__(structure, "tables", _read_only({**tables, **empty}))
+        object.__delattr__(structure, "facts")
         return structure
+
+    def __getattr__(self, name: str):
+        # reached only for the facts of a from_tables structure before their first read
+        if name != "facts" or "tables" not in vars(self):
+            raise AttributeError(name)
+        facts = frozenset((sym, tuple(args)) for sym, t in self.tables.items()
+                          for args in np.argwhere(t).tolist())
+        object.__setattr__(self, "facts", facts)
+        return facts
 
     @cached_property
     def tables(self) -> Mapping[int, np.ndarray]:

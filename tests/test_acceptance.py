@@ -182,6 +182,7 @@ def test_criterion_04_collision_decay():
 
 def test_criterion_05_rootedness():
     with criterion(5, "100/100 rooted samples; repeated pair types single-rooted") as d:
+        t0 = time.monotonic()
         passed = 0
         repeated_types = 0
         for t in range(100):
@@ -196,7 +197,9 @@ def test_criterion_05_rootedness():
             passed += 1
         assert passed == 100
         assert repeated_types > 0  # the single-root clause was exercised
-        d["note"] = f"{repeated_types} repeated types, all single-rooted"
+        elapsed = time.monotonic() - t0
+        assert elapsed < 10.0
+        d["note"] = f"{repeated_types} repeated types, all single-rooted, {elapsed:.1f}s"
 
 
 def test_criterion_06_stage_invariants_exact():
@@ -245,6 +248,7 @@ def test_criterion_07_limit_sampling_soundness():
 
 def test_criterion_08_expansion_roundtrip():
     with criterion(8, "100 reduct roundtrips; universal axioms exhaustive to n=5") as d:
+        t0 = time.monotonic()
         base_r = Signature((("R", 2),))
         base_p = Signature((("P0", 1), ("P1", 1), ("P2", 1)))
         sent_r = parse_fragment("(forall x (exists y (rel R x y)))")
@@ -299,7 +303,9 @@ def test_criterion_08_expansion_roundtrip():
             assert eval_fragment(full, sent, {})
             exp = canonical_expand(full, res)
             assert all(axiom_holds(exp, ax) for ax in res.universal_axioms)
-        d["note"] = f"{models_seen} small models among the samples"
+        elapsed = time.monotonic() - t0
+        assert elapsed < 10.0
+        d["note"] = f"{models_seen} small models among the samples, {elapsed:.2f}s"
 
 
 def _all_tuples(size, arity):
@@ -344,6 +350,7 @@ def test_criterion_09_rescaling_separation():
 def test_criterion_10_cli_determinism(tmp_path, monkeypatch):
     with criterion(10, "all 12 subcommands replay byte-for-byte") as d:
         monkeypatch.chdir(tmp_path)
+        t0 = time.monotonic()
         seed = ["--seed", SEED.hex]
         commands = [
             ["sample", "--sampler", "maxgraph:d=3", "-n", "5", "--out", "a.jsonl"],
@@ -375,4 +382,6 @@ def test_criterion_10_cli_determinism(tmp_path, monkeypatch):
             assert code == 0, argv[0]
             out_name = argv[argv.index("--out") + 1]
             assert replay(f"{out_name}.manifest.json"), argv[0]
-        d["note"] = "12/12 manifests replayed"
+        elapsed = time.monotonic() - t0
+        assert elapsed < 10.0
+        d["note"] = f"12/12 manifests replayed, {elapsed:.2f}s"

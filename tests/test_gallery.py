@@ -5,7 +5,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -25,7 +25,7 @@ from ergodic.gallery import (
     truncated_geometric,
 )
 from ergodic.fixtures import BrokenSupersetSampler, EmptySampler, IndexKeyedSampler
-from ergodic.logic import CeilingError, FiniteStructure, Rel, qf_fingerprint
+from ergodic.logic import CeilingError, FiniteStructure, Rel, _atom_bit, _layout, qf_fingerprint
 from ergodic.seeds import BITS_PER_STREAM, SeedKey, XiFamily
 
 SEED = SeedKey.from_hex("00112233445566778899aabbccddeeff")
@@ -431,3 +431,33 @@ def test_subset_masks_past_the_ceiling_are_refused_before_any_work():
         tracemalloc.stop()
     assert peak < 1 << 16
     assert _orderings.cache_info().currsize == before
+
+
+@pytest.mark.parametrize(
+    "sampler,n",
+    # n = 30 spreads the sets over all 256 byte values; d = 60 leaves a
+    # partial last byte of 7 bits on stream 1
+    [(KaleidoscopeHypergraph(3, 8), 30), (KaleidoscopeHypergraph(2, BITS_PER_STREAM + 7), 12)],
+    ids=["k=3,d=8,n=30", "k=2,d=60,n=12"],
+)
+def test_kaleidoscope_matches_the_reference_at_large_n(sampler, n):
+    key = SEED.child("wide", sampler.name, n)
+    got_trace, want_trace = set(), set()
+    got = sampler.type_fn(n, XiFamily(key, trace=got_trace))
+    assert got == reference_kaleidoscope(sampler, n, XiFamily(key, trace=want_trace))
+    assert got_trace == want_trace
+
+
+def atom_bit_orderings(n, k):
+    """_orderings as one _atom_bit call per ordering builds it."""
+    subsets = tuple(
+        (frozenset(c), sum(1 << _atom_bit(n, (k,), 0, t) for t in permutations(c)))
+        for c in combinations(range(n), k)
+    )
+    return subsets, _layout(n, (k,))[1]
+
+
+def test_orderings_match_the_atom_bit_construction():
+    grid = [(n, k) for n in range(8) for k in range(1, 5)] + [(9, 5), (30, 3)]
+    for n, k in grid:  # includes n < k, where no subset has k points
+        assert _orderings(n, k) == atom_bit_orderings(n, k), (n, k)

@@ -367,8 +367,8 @@ def test_sample_structure_is_deterministic(handle8):
 
 def test_snapshot_structure_is_built_from_its_tables_on_first_read(handle8):
     samp = sample_structure(handle8, 5, 5, SEED.child("lazy"))
-    assert "structure" not in vars(samp)
     struct = samp.structure
+    assert "facts" not in vars(struct)
     assert struct is samp.structure
     assert struct.signature == samp.signature and struct.domain_size == 5
     assert struct.facts == {

@@ -364,6 +364,7 @@ def test_from_tables_equals_the_checked_constructor():
     for S in [M, *MIXED]:
         tables = fingerprint_tables(qf_fingerprint(S, tuple(range(S.domain_size))))
         built = FiniteStructure.from_tables(S.signature, S.domain_size, tables)
+        assert "facts" not in vars(built)  # read off the tables on first read
         assert built == S and hash(built) == hash(S)
         assert isinstance(built.facts, frozenset)
 
