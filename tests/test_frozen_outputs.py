@@ -51,6 +51,10 @@ CASES = [
     ("snapshot.jsonl", ["limit-sample", "--manifest", "build_a.json", "-n", "12",
                         "--depth", "10", "--seed", SEED_B], 0,
      "fa2a3137f31a7b80187256946fe4e4d556bd04c1"),
+    # the same snapshot as CSV: fact rows, then the audit rows with their own columns
+    ("snapshot.csv", ["limit-sample", "--manifest", "build_a.json", "-n", "12",
+                      "--depth", "10", "--seed", SEED_B, "--format", "csv"], 0,
+     "aca116a62338da5a95dc52652c3d4da72f5f3faa"),
     ("rescale.jsonl", ["rescale", "--manifest", "build_a.json", "--preset", "p0-heavy",
                        "--trials", "2000", "--seed", SEED_A], 0,
      "041a84e39ffd80dbc5e9253ad83e8a15a6c44926"),
