@@ -51,10 +51,9 @@ from .limits import (
     unary_fingerprints,
     weight_preset,
 )
-from .logic import (CeilingError, LogicError, Permutation, Signature, check_width,
-                    fingerprint_tables)
+from .logic import CeilingError, FiniteStructure, LogicError, Permutation, Signature
 from .morley import MorleyError, _qf_from_tree, fragment_from_tree, morleyize, result_to_json
-from .seeds import SeedKey, XiFamily
+from .seeds import SeedKey
 from .sexpr import SexprError, parse_many, parse_sexpr
 from .stats import collision_stat, rootedness_check
 
@@ -106,24 +105,24 @@ def _format_rows(rows: list[dict], fmt: str) -> str:
     return buf.getvalue()
 
 
-def _facts_text(signature: Signature, tables, fmt: str, more=()) -> str:
-    """One row per true entry of per-symbol fact tables, then the rows `more`.
+def _facts_text(structure: FiniteStructure, fmt: str, more=()) -> str:
+    """One row per fact of a structure, then the rows `more`.
 
     Symbols come by index and each table's entries in C order, which is
     the order of sorted(facts). A JSONL fact line has the bytes
     json.dumps({"symbol": name, "args": args}, sort_keys=True) gives.
     """
+    signature, tables = structure.signature, structure.tables
     if fmt != "jsonl":
         rows = [
             {"symbol": signature.name(sym), "args": t}
-            for sym in sorted(tables)
-            for t in np.argwhere(tables[sym]).tolist()
+            for sym, table in tables.items()
+            for t in np.argwhere(table).tolist()
         ]
         return _format_rows([*rows, *more], fmt)
     heads = [['{"args": [']]  # heads[k][i]: '{"args": [a, b, c' for entry i of a k-ary table
     out = []
-    for sym in sorted(tables):
-        table = tables[sym]
+    for sym, table in tables.items():
         while len(heads) <= table.ndim:
             digits = [(", " if len(heads) > 1 else "") + str(i) for i in range(len(table))]
             heads.append([h + d for h in heads[-1] for d in digits])
@@ -214,10 +213,7 @@ def _int_list(text: str, what: str) -> tuple[int, ...]:
 
 
 def _cmd_sample(args):
-    sampler = _sampler(args)
-    check_width(args.n, sampler.signature.arities())
-    tables = fingerprint_tables(sampler.type_fn(args.n, XiFamily(_seed(args))))
-    return EXIT_OK, _facts_text(sampler.signature, tables, args.format)
+    return EXIT_OK, _facts_text(sample(_sampler(args), args.n, _seed(args)), args.format)
 
 
 def _cmd_estimate(args):
@@ -421,8 +417,7 @@ def _cmd_limit_sample(args):
         ]
         if bad or not omitted or not distinct:
             code = EXIT_VIOLATION
-    tables = dict(enumerate(samp.tables))
-    return code, _facts_text(samp.signature, tables, args.format, audits)
+    return code, _facts_text(samp.structure, args.format, audits)
 
 
 def _cmd_rescale(args):

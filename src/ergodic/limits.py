@@ -891,25 +891,13 @@ def _fact_array(guide: KaleidoscopePredicateGuide, theory: BuildTheory,
 
 @dataclass
 class LimitSample:
-    """A snapshot; `tables[i]` holds the facts of local symbol i as a bool table.
+    """A snapshot: `structure` on its points, local symbol i being build symbol symbol_ids[i]."""
 
-    `structure` holds the same facts as a FiniteStructure. Pass None to
-    build it from the tables.
-    """
-
-    signature: Signature
-    tables: tuple[np.ndarray, ...]
+    structure: FiniteStructure
     symbol_ids: tuple[int, ...]
     uids: tuple[int, ...]
     depth: int
     read_level: int
-    structure: FiniteStructure | None
-
-    def __post_init__(self):
-        if self.structure is None:
-            self.structure = FiniteStructure.from_tables(
-                self.signature, len(self.uids), dict(enumerate(self.tables))
-            )
 
 
 def sample_structure(handle: LimitHandle, m: int, depth: int, seed: SeedKey,
@@ -957,15 +945,11 @@ def sample_structure(handle: LimitHandle, m: int, depth: int, seed: SeedKey,
     theory = handle.theory
     lang_ids = tuple(sorted(handle.stage(level).lang))
     uids = tuple(pt.position(level) for pt in points)
-    return LimitSample(
-        signature=Signature(tuple(map(theory.symbol, lang_ids))),
-        tables=tuple(_fact_array(handle.guide, theory, sym, uids) for sym in lang_ids),
-        symbol_ids=lang_ids,
-        uids=uids,
-        depth=depth,
-        read_level=level,
-        structure=None,
+    structure = FiniteStructure.from_tables(
+        Signature(tuple(map(theory.symbol, lang_ids))), m,
+        {local: _fact_array(handle.guide, theory, sym, uids) for local, sym in enumerate(lang_ids)},
     )
+    return LimitSample(structure, lang_ids, uids, depth, level)
 
 
 # ---------------------------------------------------------------------------
@@ -985,7 +969,7 @@ def materialized_universal_axioms(theory: BuildTheory,
 
 def snapshot_axiom_holds(sample: LimitSample, axiom: Axiom) -> bool:
     """The axiom in the snapshot, evaluated on its fact tables."""
-    tables = dict(zip(sample.symbol_ids, sample.tables))
+    tables = dict(zip(sample.symbol_ids, sample.structure.tables.values()))
     return prenex_holds(axiom.prefix, axiom.matrix, tables, len(sample.uids))
 
 
@@ -1020,13 +1004,13 @@ def type_omitted_in_sample(sample: LimitSample, theory: BuildTheory) -> bool:
     n = len(sample.uids)
     realized = np.ones((n, n), dtype=bool)
     for local, want in literals:
-        realized &= sample.tables[local] == want
+        realized &= sample.structure.tables[local] == want
     return not realized.any()
 
 
 def unary_fingerprints(sample: LimitSample) -> list[tuple[bool, ...]]:
     """Per-element truth vector over the materialized unary symbols."""
-    unary = [table for table in sample.tables if table.ndim == 1]
+    unary = [table for table in sample.structure.tables.values() if table.ndim == 1]
     n = len(sample.uids)
     return [tuple(row) for row in np.array(unary, dtype=bool).reshape(len(unary), n).T.tolist()]
 

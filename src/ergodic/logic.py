@@ -1,7 +1,8 @@
 """Finite relational structures, quantifier-free formulas, and type fingerprints.
 
-Structures are closed-world: the fact set lists every true atomic
-sentence, everything else is false. Fingerprints encode the full
+A structure is its bool tables, one per symbol: an atomic sentence is
+true exactly where its table entry is (closed world), and its fact set
+is read off the tables on demand. Fingerprints encode the full
 quantifier-free type of a tuple as a bit vector in a documented
 canonical order, so equality of fingerprints is equality of types.
 """
@@ -13,7 +14,7 @@ from functools import cached_property, lru_cache, reduce
 from itertools import combinations, product
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -75,42 +76,43 @@ def _read_only(tables: dict[int, np.ndarray]) -> Mapping[int, np.ndarray]:
     return MappingProxyType({sym: np.broadcast_to(t, t.shape) for sym, t in tables.items()})
 
 
-@dataclass(frozen=True)
 class FiniteStructure:
-    """Finite structure with domain {0, .., domain_size-1} and closed-world facts."""
+    """Finite structure on {0, .., domain_size-1}: one bool table per symbol.
 
-    signature: Signature
-    domain_size: int
-    facts: frozenset[Fact]
+    `tables` maps every symbol index, in signature order, to its relation
+    as a read-only bool array of shape (domain_size,) * arity in C order.
+    An atom is true exactly where its entry is (closed world). Structures
+    are immutable, and equal when their signatures, sizes and tables are.
+    """
 
-    def __post_init__(self) -> None:
-        if self.domain_size < 0:
+    def __init__(self, signature: Signature, domain_size: int, facts: Iterable[Fact]) -> None:
+        """The structure whose true atoms are `facts`, (symbol index, argument tuple) pairs.
+
+        CeilingError past MAX_FINGERPRINT_BITS cells, before any table is allocated.
+        """
+        if domain_size < 0:
             raise LogicError("domain_size must be nonnegative")
-        object.__setattr__(self, "facts", frozenset(self.facts))
-        for sym, args in self.facts:
-            if not 0 <= sym < len(self.signature):
-                raise LogicError(f"fact references unknown symbol index {sym}")
-            if len(args) != self.signature.arity(sym):
-                raise LogicError(
-                    f"arity mismatch for {self.signature.name(sym)}: {args}"
-                )
-            if any(not 0 <= a < self.domain_size for a in args):
-                raise LogicError(f"fact argument out of domain: {args}")
+        n, arities = domain_size, signature.arities()
+        _check_cells(sum(n**ar for ar in arities), f"the tables of {n} points")
+        vars(self).update(signature=signature, domain_size=n)
+        tables = {sym: np.zeros((n,) * ar, dtype=bool) for sym, ar in enumerate(arities)}
+        for sym, args in facts:
+            args = self._atom(sym, args)
+            tables[sym][args] = True
+        vars(self)["tables"] = _read_only(tables)
 
     @classmethod
     def from_tables(
-        cls, signature: Signature, domain_size: int, tables: dict[int, np.ndarray]
+        cls, signature: Signature, domain_size: int, tables: Mapping[int, np.ndarray]
     ) -> "FiniteStructure":
         """Structure whose facts are the true entries of boolean tables.
 
         `tables` maps a symbol index to its relation as a bool array of
-        shape (domain_size,) * arity, in C order. Checking each table's
-        dtype and shape against the signature rules out every unknown
-        symbol, wrong arity and out-of-domain argument at once, so the
-        facts skip the per-fact check that __post_init__ makes. They are
-        read off the tables on first use, so the tables must not change.
+        shape (domain_size,) * arity, in C order; a symbol without a table
+        holds nowhere. The structure keeps read-only views of the arrays
+        given, so they must not change afterwards.
         """
-        structure = cls(signature, domain_size, frozenset())
+        structure = cls(signature, domain_size, ())  # checks the size; all-false tables
         for sym, table in tables.items():
             if not 0 <= sym < len(signature):
                 raise LogicError(f"table for unknown symbol index {sym}")
@@ -119,37 +121,46 @@ class FiniteStructure:
                 raise LogicError(
                     f"table for {signature.name(sym)} must be a bool array of shape {shape}"
                 )
-        # keep the tables given, so that reading `tables` costs nothing
-        empty = {sym: np.zeros((domain_size,) * ar, dtype=bool)
-                 for sym, ar in enumerate(signature.arities()) if sym not in tables}
-        object.__setattr__(structure, "tables", _read_only({**tables, **empty}))
-        object.__delattr__(structure, "facts")
+        vars(structure)["tables"] = _read_only({**structure.tables, **tables})
         return structure
 
-    def __getattr__(self, name: str):
-        # reached only for the facts of a from_tables structure before their first read
-        if name != "facts" or "tables" not in vars(self):
-            raise AttributeError(name)
-        facts = frozenset((sym, tuple(args)) for sym, t in self.tables.items()
-                          for args in np.argwhere(t).tolist())
-        object.__setattr__(self, "facts", facts)
-        return facts
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"a FiniteStructure is read-only: cannot set {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FiniteStructure):
+            return NotImplemented
+        return (self.signature == other.signature and self.domain_size == other.domain_size
+                and all(map(np.array_equal, self.tables.values(), other.tables.values())))
+
+    def __hash__(self) -> int:
+        return hash((self.signature, self.domain_size,
+                     *(t.tobytes() for t in self.tables.values())))
+
+    def __repr__(self) -> str:
+        return f"FiniteStructure({self.signature!r}, {self.domain_size}, {sorted(self.facts)!r})"
 
     @cached_property
-    def tables(self) -> Mapping[int, np.ndarray]:
-        """Symbol index -> its relation as a read-only bool array of shape (n,) * arity.
+    def facts(self) -> frozenset[Fact]:
+        """Every true atom as a (symbol index, argument tuple) pair, read off the tables."""
+        return frozenset((sym, tuple(args)) for sym, t in self.tables.items()
+                         for args in np.argwhere(t).tolist())
 
-        Built from `facts` on first read; CeilingError past MAX_FINGERPRINT_BITS cells.
-        """
-        n, arities = self.domain_size, self.signature.arities()
-        _check_cells(sum(n**ar for ar in arities), f"the tables of {n} points")
-        tables = {sym: np.zeros((n,) * ar, dtype=bool) for sym, ar in enumerate(arities)}
-        for sym, args in self.facts:
-            tables[sym][args] = True
-        return _read_only(tables)
+    def _atom(self, sym: int, args) -> tuple[int, ...]:
+        """args as a tuple; LogicError unless sym(args) is an atom of this structure."""
+        if not 0 <= sym < len(self.signature):
+            raise LogicError(f"fact references unknown symbol index {sym}")
+        args = tuple(args)
+        if len(args) != self.signature.arity(sym):
+            raise LogicError(f"arity mismatch for {self.signature.name(sym)}: {args}")
+        if any(not 0 <= a < self.domain_size for a in args):
+            raise LogicError(f"fact argument out of domain: {args}")
+        return args
 
     def holds(self, sym: int, args: tuple[int, ...]) -> bool:
-        return (sym, tuple(args)) in self.facts
+        """The atom sym(args); LogicError when the structure has no such atom."""
+        args = self._atom(sym, args)
+        return bool(self.tables[sym][args])
 
 
 @dataclass(frozen=True)

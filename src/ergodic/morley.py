@@ -563,25 +563,32 @@ def morleyize(sentences: list[Fragment], base: Signature) -> MorleyResult:
 
 
 def canonical_expand(structure: FiniteStructure, result: MorleyResult) -> FiniteStructure:
-    """Expand an L-structure to L' by evaluating every closure formula."""
+    """Expand an L-structure to L' by evaluating every closure formula.
+
+    Each node's table is filled one assignment at a time by eval_fragment,
+    the one evaluator of fragment formulas; folding quantifiers and
+    truncated schemes over tables would take a second one.
+    """
     if structure.signature.symbols != result.base.symbols:
         raise MorleyError("structure signature does not match the base language")
     n = structure.domain_size
-    facts = set(structure.facts)
+    tables = dict(structure.tables)
     for node in result.nodes:
         fv = canonical_vars(node.formula)
-        sym = result.node_symbol(node.index)
+        table = np.zeros((n,) * len(fv), dtype=bool)
         for assignment in product(range(n), repeat=len(fv)):
-            env = dict(zip(fv, assignment))
-            if eval_fragment(structure, node.formula, env):
-                facts.add((sym, assignment))
-    return FiniteStructure(result.language, n, frozenset(facts))
+            table[assignment] = eval_fragment(structure, node.formula, dict(zip(fv, assignment)))
+        tables[result.node_symbol(node.index)] = table
+    return FiniteStructure.from_tables(result.language, n, tables)
 
 
 def reduct(structure: FiniteStructure, base: Signature) -> FiniteStructure:
+    """The structure's restriction to `base`, which must begin its signature."""
     nbase = len(base.symbols)
-    kept = frozenset(f for f in structure.facts if f[0] < nbase)
-    return FiniteStructure(base, structure.domain_size, kept)
+    if structure.signature.symbols[:nbase] != base.symbols:
+        raise MorleyError("the reduct's base is not a prefix of the structure's signature")
+    kept = {sym: structure.tables[sym] for sym in range(nbase)}
+    return FiniteStructure.from_tables(base, structure.domain_size, kept)
 
 
 def verify_reduct_roundtrip(structure: FiniteStructure, result: MorleyResult) -> bool:

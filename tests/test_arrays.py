@@ -150,12 +150,12 @@ def tuple_rootedness(structure, chi, sub):
     return out
 
 
-def line_facts_text(signature, tables):
-    """One json.dumps per fact, in (symbol, C-order index) order."""
+def line_facts_text(structure):
+    """One json.dumps per fact, in sorted(facts) order."""
     return "".join(
-        json.dumps({"symbol": signature.name(sym), "args": t}, sort_keys=True) + "\n"
-        for sym in sorted(tables)
-        for t in np.argwhere(tables[sym]).tolist()
+        json.dumps({"symbol": structure.signature.name(sym), "args": list(args)}, sort_keys=True)
+        + "\n"
+        for sym, args in sorted(structure.facts)
     )
 
 
@@ -267,9 +267,9 @@ def test_the_evaluator_refuses_a_grid_past_the_ceiling_before_allocating():
 
 
 def test_tables_past_the_ceiling_are_refused():
-    big = FiniteStructure(Signature((("T", 3),)), 257, frozenset())  # 257**3 > 2**24
+    # a structure holds its tables from construction, so the refusal comes there
     with pytest.raises(CeilingError):
-        big.tables
+        FiniteStructure(Signature((("T", 3),)), 257, frozenset())  # 257**3 > 2**24
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +381,13 @@ def test_facts_text_matches_the_line_writer_on_random_tables():
     rng = np.random.default_rng(15)
     for n in SIZES:
         for density in (0.0, 0.3, 1.0):
-            tables = {sym: rng.random((n,) * ar) < density
+            tables = {sym: np.asarray(rng.random((n,) * ar) < density)
                       for sym, (_, ar) in enumerate(SIG.symbols)}
-            assert cli._facts_text(SIG, tables, "jsonl") == line_facts_text(SIG, tables)
-            some = {s: tables[s] for s in (3, 0)}  # a subset of the symbols, out of order
-            assert cli._facts_text(SIG, some, "jsonl") == line_facts_text(SIG, some)
+            S = FiniteStructure.from_tables(SIG, n, tables)
+            assert cli._facts_text(S, "jsonl") == line_facts_text(S)
+            # tables for a subset of the symbols, given out of order
+            some = FiniteStructure.from_tables(SIG, n, {s: tables[s] for s in (3, 0)})
+            assert cli._facts_text(some, "jsonl") == line_facts_text(some)
 
 
 @pytest.mark.parametrize("spec", ["kaleidoscope:k=2,d=8", "kaleidoscope:k=3,d=8", "maxgraph:d=16",
@@ -395,5 +397,5 @@ def test_facts_text_matches_the_line_writer_on_the_gallery(spec):
     sampler = parse_sampler_spec(spec)
     for n in (1, 5, 12):
         tables = fingerprint_tables(sampler.type_fn(n, XiFamily(SeedKey(n))))
-        want = line_facts_text(sampler.signature, tables)
-        assert cli._facts_text(sampler.signature, tables, "jsonl") == want
+        S = FiniteStructure.from_tables(sampler.signature, n, tables)
+        assert cli._facts_text(S, "jsonl") == line_facts_text(S)

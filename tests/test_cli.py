@@ -69,10 +69,11 @@ def test_fact_rows_cover_every_arity():
     facts = {(0, ()), (1, (3,)), (2, (0, 3)), (2, (3, 0)), (3, (1, 0, 2)), (3, (3, 3, 3))}
     M = FiniteStructure(sig, 4, frozenset(facts))
     tables = fingerprint_tables(qf_fingerprint(M, tuple(range(4))))
+    read = FiniteStructure.from_tables(sig, 4, tables)
     rows = [{"symbol": sig.name(sym), "args": list(t)} for sym, t in sorted(M.facts)]
     more = [{"audit": "x", "passed": True}]
     for fmt in ("jsonl", "csv"):
-        assert cli._facts_text(sig, tables, fmt, more) == cli._format_rows(rows + more, fmt)
+        assert cli._facts_text(read, fmt, more) == cli._format_rows(rows + more, fmt)
 
 
 def test_estimate_stdout_and_manifest(capsys):

@@ -370,11 +370,14 @@ def test_snapshot_structure_is_built_from_its_tables_on_first_read(handle8):
     struct = samp.structure
     assert "facts" not in vars(struct)
     assert struct is samp.structure
-    assert struct.signature == samp.signature and struct.domain_size == 5
+    assert struct.signature.symbols == tuple(map(handle8.theory.symbol, samp.symbol_ids))
+    assert struct.domain_size == 5
     assert struct.facts == {
-        (local, tuple(t)) for local, table in enumerate(samp.tables) for t in zip(*table.nonzero())
+        (local, tuple(t))
+        for local, table in enumerate(struct.tables.values()) for t in zip(*table.nonzero())
     }
-    given = FiniteStructure(samp.signature, 5, frozenset())
+    assert "facts" in vars(struct)
+    given = FiniteStructure(struct.signature, 5, frozenset())
     assert dataclasses.replace(samp, structure=given).structure is given
 
 
@@ -443,7 +446,7 @@ def test_guide_fact_matches_the_per_fact_answer(handle8):
     kinds = set()
     for local, sym in enumerate(samp.symbol_ids):
         kinds.add(guide.theory.classify(sym)[0])
-        arity = samp.tables[local].ndim
+        arity = samp.structure.tables[local].ndim
         for handles in product(samp.uids, repeat=arity):
             got = guide.fact(sym, handles)
             assert type(got) is bool and got == per_fact_answer(guide, sym, handles)
@@ -680,8 +683,11 @@ def per_fact_unary_prints(samp):
 
 
 def with_tables(samp, tables):
-    """The snapshot with other fact tables; its structure is rebuilt from them."""
-    return dataclasses.replace(samp, tables=tuple(tables), structure=None)
+    """The snapshot with its structure rebuilt from other fact tables."""
+    structure = FiniteStructure.from_tables(
+        samp.structure.signature, len(samp.uids), dict(enumerate(tables))
+    )
+    return dataclasses.replace(samp, structure=structure)
 
 
 def assert_audits_match_the_oracles(samp, theory):
@@ -697,8 +703,9 @@ def assert_audits_match_the_oracles(samp, theory):
 
 def probe_axioms(samp) -> list[Axiom]:
     """Made-up axioms on the first binary symbol: equalities, repeated variables, E."""
-    r = next(sym for sym, t in zip(samp.symbol_ids, samp.tables) if t.ndim == 2)
-    p = next(sym for sym, t in zip(samp.symbol_ids, samp.tables) if t.ndim == 1)
+    tables = samp.structure.tables.values()
+    r = next(sym for sym, t in zip(samp.symbol_ids, tables) if t.ndim == 2)
+    p = next(sym for sym, t in zip(samp.symbol_ids, tables) if t.ndim == 1)
     return [
         Axiom(prefix, matrix, 0, None, "probe")
         for prefix, matrix in [
@@ -734,15 +741,16 @@ def test_snapshot_audits_match_per_fact_oracles():
         assert ok == recursive_axiom_holds(empty, ax, handle.theory) == (ax.prefix[0] == "A")
 
     # a flipped diagonal fact of the first binary symbol breaks an axiom
-    local = next(i for i, t in enumerate(samp.tables) if t.ndim == 2)
-    flipped = np.array(samp.tables[local])
+    tables = tuple(samp.structure.tables.values())
+    local = next(i for i, t in enumerate(tables) if t.ndim == 2)
+    flipped = np.array(tables[local])
     flipped[0, 0] = not flipped[0, 0]
-    bad = with_tables(samp, samp.tables[:local] + (flipped,) + samp.tables[local + 1:])
+    bad = with_tables(samp, tables[:local] + (flipped,) + tables[local + 1:])
     got, _ = assert_audits_match_the_oracles(bad, handle.theory)
     assert not all(got)
 
     # points 0 and 1 made to realize every literal of the omitted type
-    tables = [np.array(t) for t in samp.tables]
+    tables = [np.array(t) for t in samp.structure.tables.values()]
     position = {sym: i for i, sym in enumerate(samp.symbol_ids)}
     for sym, want in scheduled_type_literals(handle.theory, samp.symbol_ids):
         tables[position[sym]][0, 1] = want

@@ -376,6 +376,25 @@ def test_hand_built_facts_keep_the_full_check():
             FiniteStructure(SIG, 3, frozenset(facts))
 
 
+def test_a_structure_is_its_tables():
+    S = FiniteStructure(SIG, 3, frozenset({(0, (1,)), (1, (2, 0))}))
+    assert set(vars(S)) == {"signature", "domain_size", "tables"}  # no facts until read
+    assert S.facts == {(0, (1,)), (1, (2, 0))} and "facts" in vars(S)
+    with pytest.raises(AttributeError):
+        S.domain_size = 4
+    assert S == FiniteStructure(SIG, 3, S.facts) and S != FiniteStructure(SIG, 4, S.facts)
+    assert S != FiniteStructure(SIG, 3, {(0, (1,))}) and S != S.facts
+
+
+def test_holds_refuses_an_atom_the_structure_has_not():
+    R = FiniteStructure(Signature((("R", 2),)), 3, frozenset({(0, (0, 1))}))
+    assert R.holds(0, (0, 1)) is True and R.holds(0, [1, 0]) is False
+    # an unknown symbol, arguments out of the domain (negative ones too), a wrong arity
+    for sym, args in [(5, (0,)), (-1, (0, 0)), (0, (7, 9)), (0, (0, -1)), (0, (0,)), (0, (0, 1, 2))]:
+        with pytest.raises(LogicError):
+            R.holds(sym, args)
+
+
 def _random_qf(rng, depth, nvars):
     """A random formula over MIXED_SIG with variables below nvars."""
     if depth == 0 or rng.random() < 0.3:

@@ -140,6 +140,16 @@ def test_canonical_form_orders_by_first_occurrence():
     )
 
 
+def test_reduct_refuses_a_base_that_does_not_begin_the_signature():
+    M = FiniteStructure(BASE_R, 3, frozenset({(0, (0, 1))}))
+    for base in [Signature((("E", 2), ("F", 1))), Signature((("R", 1),)),
+                 Signature((("R", 2), ("F", 1)))]:
+        with pytest.raises(MorleyError, match="prefix"):
+            reduct(M, base)
+    assert reduct(M, BASE_R) == M
+    assert reduct(M, Signature(())).facts == frozenset()
+
+
 def test_expansion_reduces_back():
     rng = random.Random(7)
     res = morleyize([parse_fragment(FORALL_EXISTS)], BASE_R)
