@@ -103,7 +103,7 @@ class FiniteStructure:
 
     @classmethod
     def from_tables(
-        cls, signature: Signature, domain_size: int, tables: Mapping[int, np.ndarray]
+        cls, signature: Signature, domain_size: int, tables: dict[int, np.ndarray]
     ) -> "FiniteStructure":
         """Structure whose facts are the true entries of boolean tables.
 
