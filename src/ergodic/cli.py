@@ -166,7 +166,7 @@ def _sampler(args):
 def _formula(text: str, signature: Signature):
     try:
         return _qf_from_tree(parse_sexpr(text), signature)
-    except (SexprError, MorleyError, LogicError, ValueError, IndexError) as exc:
+    except ValueError as exc:  # SexprError, MorleyError and LogicError among them
         quoted = repr(text[:60]) + ("..." if len(text) > 60 else "")  # one short line, however long
         raise UsageError(f"bad formula {quoted}: {exc}")
 

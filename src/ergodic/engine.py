@@ -45,7 +45,6 @@ class AhkSampler:
 
     name: str = "sampler"
     signature: Signature
-    reads_empty_set: bool = False
 
     def type_fn(self, n: int, xs: XiFamily) -> TypeFingerprint:
         raise NotImplementedError

@@ -349,8 +349,6 @@ class MixtureControl(AhkSampler):
     degenerate p1 = p2 variant is allowed for calibration.
     """
 
-    reads_empty_set = True
-
     def __init__(self, p1: float, p2: float):
         for p in (p1, p2):
             if not 0.0 <= p <= 1.0:

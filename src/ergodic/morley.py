@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
-from itertools import product
 
 import numpy as np
 
@@ -447,10 +446,44 @@ def subformula_closure(sentences: list[Fragment]) -> list[Fragment]:
     return order
 
 
-def _child_args(child: Fragment, env: dict[str, int]) -> tuple[int, ...]:
-    """Variable indices feeding the child's relation symbol, in the
-    child's own first-occurrence variable order."""
-    return tuple(env[v] for v in canonical_vars(child))
+_KINDS = {FAtom: 1, FEq: 1, FNot: 2, FAnd: 3, FOr: 4, FSchemeAnd: 5, FSchemeOr: 6,
+          FForall: 7, FExists: 8}
+
+
+def definition(phi: Fragment, base: Signature, symbol) -> QfFormula:
+    """phi's meaning as a QF formula over base symbols and symbol(child) of its children.
+
+    Variable i is phi's i-th free variable (canonical_vars order). A
+    scheme node is the And/Or of its materialized instances; a quantifier
+    node is its child alone, with the bound variable last, left to quantify.
+    """
+    env = {v: i for i, v in enumerate(canonical_vars(phi))}
+    if isinstance(phi, (FForall, FExists)):
+        env[phi.var] = len(env)
+
+    def child(sub: Fragment) -> Rel:
+        return Rel(symbol(sub), tuple(env[v] for v in canonical_vars(sub)))
+
+    if isinstance(phi, FAtom):
+        name = phi.rel.resolved()
+        try:
+            sym = base.index_of(name)
+        except ValueError:
+            raise MorleyError(f"atomic symbol {name!r} not in the base language") from None
+        if base.arity(sym) != len(phi.args):
+            raise MorleyError(f"arity mismatch for {name!r}")
+        return Rel(sym, tuple(env[a] for a in phi.args))
+    if isinstance(phi, FEq):
+        return Eq(env[phi.left], env[phi.right])
+    if isinstance(phi, FNot):
+        return Not(child(phi.sub))
+    if isinstance(phi, (FForall, FExists)):
+        return child(phi.sub)
+    if isinstance(phi, (FSchemeAnd, FSchemeOr)):
+        subs = tuple(child(scheme_instance(phi, i)) for i in range(phi.prefix_len))
+    else:
+        subs = tuple(map(child, parts(phi)))
+    return And(subs) if isinstance(phi, (FAnd, FSchemeAnd)) else Or(subs)
 
 
 MAX_ARITY = 16  # the most free variables a closure node may have
@@ -480,72 +513,27 @@ def morleyize(sentences: list[Fragment], base: Signature) -> MorleyResult:
 
     for node in nodes:
         phi = node.formula
-        fv = canonical_vars(phi)
-        env = {v: i for i, v in enumerate(fv)}
-        j = len(fv)
+        j, kind, label = node.arity, _KINDS[type(phi)], f"def:{node.name}"
         head = Rel(nbase + node.index, tuple(range(j)))
-
-        if isinstance(phi, FAtom):
-            name = phi.rel.resolved()
-            try:
-                bsym = base.index_of(name)
-            except ValueError:
-                raise MorleyError(f"atomic symbol {name!r} not in the base language") from None
-            if base.arity(bsym) != len(phi.args):
-                raise MorleyError(f"arity mismatch for {name!r}")
-            body = Rel(bsym, tuple(env[a] for a in phi.args))
-            axioms.append(Axiom("A" * j, iff(head, body), 1, node.index, f"def:{node.name}"))
-        elif isinstance(phi, FEq):
-            body = Eq(env[phi.left], env[phi.right])
-            axioms.append(Axiom("A" * j, iff(head, body), 1, node.index, f"def:{node.name}"))
-        elif isinstance(phi, FNot):
-            body = Not(Rel(rsym(phi.sub), _child_args(phi.sub, env)))
-            axioms.append(Axiom("A" * j, iff(head, body), 2, node.index, f"def:{node.name}"))
-        elif isinstance(phi, (FAnd, FOr)):
-            kind = 3 if isinstance(phi, FAnd) else 4
-            parts = tuple(Rel(rsym(s), _child_args(s, env)) for s in phi.subs)
-            body = And(parts) if isinstance(phi, FAnd) else Or(parts)
-            axioms.append(Axiom("A" * j, iff(head, body), kind, node.index, f"def:{node.name}"))
-        elif isinstance(phi, (FSchemeAnd, FSchemeOr)):
-            kind = 5 if isinstance(phi, FSchemeAnd) else 6
-            lits: list[QTypeLiteral] = []
-            for i in range(phi.prefix_len):
-                inst = scheme_instance(phi, i)
-                part = Rel(rsym(inst), _child_args(inst, env))
-                if kind == 5:
-                    matrix = implies(head, part)
-                else:
-                    matrix = implies(part, head)
-                axioms.append(Axiom("A" * j, matrix, kind, node.index, f"def:{node.name}[{i}]"))
-                lits.append(QTypeLiteral(part.sym, part.args, kind == 5))
-            lits.append(QTypeLiteral(nbase + node.index, tuple(range(j)), kind != 5))
-            qtypes.append(
-                QType(
-                    source=node.index,
-                    pattern="conj" if kind == 5 else "disj",
-                    arity=j,
-                    literals=tuple(lits),
-                    tail_index_var=phi.index_var,
-                    tail_body=render_fragment(phi.body),
-                    tail_start=phi.prefix_len,
-                )
-            )
-        elif isinstance(phi, (FForall, FExists)):
-            kind = 7 if isinstance(phi, FForall) else 8
-            sub = phi.sub
-            env_u = {**env, phi.var: j}      # extra universally bound variable
-            env_w = {**env, phi.var: j + 1}  # the existential witness
-            sub_u = Rel(rsym(sub), _child_args(sub, env_u))
-            sub_w = Rel(rsym(sub), _child_args(sub, env_w))
+        body = definition(phi, base, rsym)
+        if isinstance(phi, (FForall, FExists)):
+            # the child on an extra universal variable j, and on the witness j + 1
+            witness = Rel(body.sym, tuple(j + 1 if v == j else v for v in body.args))
             if kind == 7:
-                matrix = conj(implies(head, sub_u), implies(sub_w, head))
+                matrix = conj(implies(head, body), implies(witness, head))
             else:
-                matrix = conj(implies(sub_u, head), implies(head, sub_w))
-            axioms.append(
-                Axiom("A" * (j + 1) + "E", matrix, kind, node.index, f"def:{node.name}")
-            )
+                matrix = conj(implies(body, head), implies(head, witness))
+            axioms.append(Axiom("A" * (j + 1) + "E", matrix, kind, node.index, label))
+        elif isinstance(phi, (FSchemeAnd, FSchemeOr)):
+            for i, part in enumerate(body.subs):
+                matrix = implies(head, part) if kind == 5 else implies(part, head)
+                axioms.append(Axiom("A" * j, matrix, kind, node.index, f"{label}[{i}]"))
+            lits = [QTypeLiteral(part.sym, part.args, kind == 5) for part in body.subs]
+            lits.append(QTypeLiteral(head.sym, head.args, kind != 5))
+            qtypes.append(QType(node.index, "conj" if kind == 5 else "disj", j, tuple(lits),
+                                phi.index_var, render_fragment(phi.body), phi.prefix_len))
         else:
-            raise MorleyError(f"not a fragment formula: {phi!r}")
+            axioms.append(Axiom("A" * j, iff(head, body), kind, node.index, label))
 
     for phi in sentences:
         if canonical_vars(phi):
@@ -563,22 +551,29 @@ def morleyize(sentences: list[Fragment], base: Signature) -> MorleyResult:
 
 
 def canonical_expand(structure: FiniteStructure, result: MorleyResult) -> FiniteStructure:
-    """Expand an L-structure to L' by evaluating every closure formula.
+    """Expand an L-structure to L' by each closure node's definition.
 
-    Each node's table is filled one assignment at a time by eval_fragment,
-    the one evaluator of fragment formulas; folding quantifiers and
-    truncated schemes over tables would take a second one.
+    Nodes come in closure postorder, so a node's definition reads base
+    tables and tables already filled: one qf_grid per node, a quantifier
+    node's grid folded over its last axis. CeilingError before any grid
+    past MAX_FINGERPRINT_BITS cells (n**(arity + 1) for a quantifier
+    node), as axiom_holds raises on that node's wider A...AE axiom.
     """
     if structure.signature.symbols != result.base.symbols:
         raise MorleyError("structure signature does not match the base language")
     n = structure.domain_size
     tables = dict(structure.tables)
+
+    def symbol(child: Fragment) -> int:
+        return result.node_symbol(result.node_of(child))
+
     for node in result.nodes:
-        fv = canonical_vars(node.formula)
-        table = np.zeros((n,) * len(fv), dtype=bool)
-        for assignment in product(range(n), repeat=len(fv)):
-            table[assignment] = eval_fragment(structure, node.formula, dict(zip(fv, assignment)))
-        tables[result.node_symbol(node.index)] = table
+        phi = node.formula
+        quantified = isinstance(phi, (FForall, FExists))
+        truth = qf_grid(definition(phi, result.base, symbol), tables, n, node.arity + quantified)
+        if quantified:
+            truth = truth.all(axis=-1) if isinstance(phi, FForall) else truth.any(axis=-1)
+        tables[result.node_symbol(node.index)] = np.array(truth)  # a 0-d array for a sentence
     return FiniteStructure.from_tables(result.language, n, tables)
 
 
@@ -653,24 +648,25 @@ def _var(token) -> int:
 
 
 def _qf_from_tree(tree, signature: Signature) -> QfFormula:
-    head = tree[0]
-    if head == "rel":
-        sym = signature.index_of(tree[1])
-        args = tuple(map(_var, tree[2:]))
-        if len(args) != signature.arity(sym):
-            raise MorleyError(
-                f"{tree[1]} has arity {signature.arity(sym)}, got {len(args)} arguments"
-            )
-        return Rel(sym, args)
-    if head == "eq":
-        return Eq(_var(tree[1]), _var(tree[2]))
-    if head == "not":
-        return Not(_qf_from_tree(tree[1], signature))
-    if head == "and":
-        return And(tuple(_qf_from_tree(t, signature) for t in tree[1:]))
-    if head == "or":
-        return Or(tuple(_qf_from_tree(t, signature) for t in tree[1:]))
-    raise MorleyError(f"bad matrix form {head!r}")
+    """The QF formula a tree spells, read through fragment_from_tree and its shape checks."""
+    def qf(phi: Fragment) -> QfFormula:
+        if isinstance(phi, FAtom):
+            name = phi.rel.resolved()
+            sym, args = signature.index_of(name), tuple(map(_var, phi.args))
+            if len(args) != signature.arity(sym):
+                raise MorleyError(
+                    f"{name} has arity {signature.arity(sym)}, got {len(args)} arguments"
+                )
+            return Rel(sym, args)
+        if isinstance(phi, FEq):
+            return Eq(_var(phi.left), _var(phi.right))
+        if isinstance(phi, FNot):
+            return Not(qf(phi.sub))
+        if isinstance(phi, (FAnd, FOr)):
+            return (And if isinstance(phi, FAnd) else Or)(tuple(map(qf, phi.subs)))
+        raise MorleyError(f"bad matrix form {_HEADS[type(phi)]!r}")
+
+    return qf(fragment_from_tree(tree))
 
 
 def result_to_json(result: MorleyResult) -> str:

@@ -188,6 +188,24 @@ def test_a_bad_formula_is_quoted_by_its_prefix(capsys):
     assert code == 3 and "'(rel R9 x0 x1)':" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "phi, named",
+    [
+        ("(eq x0 x1 x2)", "(eq x y) needs two variables"),
+        ("(not (eq x0 x1) (rel R0 x0 x1))", "(not form) needs one subformula"),
+        ("()", "empty form"),
+        ("(not)", "(not form) needs one subformula"),
+        ("(eq x0)", "(eq x y) needs two variables"),
+        ("x0", "bare token 'x0' is not a formula"),
+    ],
+)
+def test_a_misshapen_formula_exits_3_naming_its_form(capsys, phi, named):
+    code = main(["estimate", "--sampler", "maxgraph:d=2", "--phi", phi, *SEED_ARGS])
+    err = capsys.readouterr().err
+    assert code == 3 and err.count("\n") == 1
+    assert err.startswith(f"error: bad formula {phi!r}: {named}")
+
+
 def test_formulas_nested_to_the_bound_still_run(capsys):
     phi = nested_not(100, "(rel R0 x0 x1)")
     code, out = run(capsys, ["estimate", "--sampler", "maxgraph:d=2", "--phi", phi,

@@ -189,11 +189,6 @@ def test_mixture_validates_density():
         MixtureControl(-0.1, 0.5)
 
 
-def test_mixture_reads_empty_set():
-    assert MixtureControl(0.1, 0.9).reads_empty_set
-    assert not KaleidoscopeHypergraph(2, 1).reads_empty_set
-
-
 def test_parse_sampler_spec_covers_gallery():
     specs = {
         "kaleidoscope": "kaleidoscope:k=2,d=3",

@@ -4,10 +4,11 @@ Four rules keep dead code from piling up: every module-level import is
 used by its module, every function, class and method is referenced
 somewhere outside its own body, in src/, tests/ or bench/, only the few
 names in TEST_ONLY may have their every reference in tests/, and every
-dataclass field is read as an attribute somewhere in src/ or bench/. A
-string that spells an identifier counts as a reference only in bench/,
-where the tracer names what it patches; elsewhere such a string is data
-(a pattern name, a preset) that happens to share a definition's name.
+attribute a class body binds (a dataclass field, a class constant) is
+read as an attribute somewhere in src/ or bench/. A string that spells
+an identifier counts as a reference only in bench/, where the tracer
+names what it patches; elsewhere such a string is data (a pattern name,
+a preset) that happens to share a definition's name.
 """
 
 import ast
@@ -114,8 +115,22 @@ def test_no_definition_is_test_only():
     assert not test_only, "referenced only from tests/: " + ", ".join(test_only)
 
 
-def test_every_dataclass_field_is_read():
-    # a field that only tests read is computed for no caller
+def _class_attributes(cls: ast.ClassDef):
+    """(name, line) of every attribute a class body binds by annotation or assignment."""
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        elif isinstance(node, ast.Assign):
+            targets = node.targets
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                yield target.id, node.lineno
+
+
+def test_every_class_attribute_is_read():
+    # a field or class attribute that only tests read is computed for no caller
     read = {
         node.attr
         for top in ("src", "bench")
@@ -124,13 +139,11 @@ def test_every_dataclass_field_is_read():
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
     unread = [
-        f"{path.name}:{field.lineno} {cls.name}.{field.target.id}"
+        f"{path.name}:{line} {cls.name}.{name}"
         for path, tree in _modules()
-        for cls in tree.body
+        for cls in ast.walk(tree)
         if isinstance(cls, ast.ClassDef)
-        and any(ast.unparse(d).startswith("dataclass") for d in cls.decorator_list)
-        for field in cls.body
-        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
-        and field.target.id not in read
+        for name, line in _class_attributes(cls)
+        if name not in read
     ]
-    assert not unread, "dataclass fields never read: " + ", ".join(unread)
+    assert not unread, "class attributes never read: " + ", ".join(unread)

@@ -2,11 +2,13 @@
 
 import json
 import random
+import tracemalloc
+from itertools import product
 
 import pytest
 
 from ergodic import sexpr
-from ergodic.logic import FiniteStructure, Rel, Signature
+from ergodic.logic import CeilingError, FiniteStructure, Rel, Signature
 from ergodic.morley import (
     Axiom,
     ClosureNode,
@@ -32,6 +34,7 @@ from ergodic.morley import (
     canonical_form,
     canonical_vars,
     check_pi2minus,
+    definition,
     eval_fragment,
     fragment_to_tree,
     map_parts,
@@ -175,6 +178,56 @@ def test_expansion_satisfies_defining_axioms_always():
                 assert axiom_holds(exp, ax)
 
 
+# the two MIXED sentences of test_frozen_outputs.py: a scheme around an
+# existential and a nested scheme that rebinds its index variable
+MIXED = [
+    "(forall x (schemeOr n 2 (and (rel (P n) x)"
+    " (exists y (schemeAnd n 2 (or (rel (P n) y) (not (eq x y))))))))",
+    "(forall z (schemeOr m 2 (and (rel (P m) z)"
+    " (exists w (schemeAnd m 2 (or (rel (P m) w) (not (eq z w))))))))",
+]
+BASE_RP = Signature((("R", 2), ("P0", 1), ("P1", 1)))
+
+
+@pytest.mark.parametrize("text", [
+    *MIXED,
+    "(rel R x x)",
+    "(eq x x)",
+    "(forall y (rel R x x))",  # a quantifier whose variable its body lacks
+    "(exists y (forall z (and (rel P1 y) (not (rel R y y)))))",
+])
+def test_every_expanded_table_matches_eval_fragment(text):
+    res = morleyize([parse_fragment(text)], BASE_RP)
+    rng = random.Random(text)
+    for n in range(6):
+        M = _random_structure(rng, BASE_RP, n)
+        exp = canonical_expand(M, res)
+        for node in res.nodes:
+            fv = canonical_vars(node.formula)
+            table = exp.tables[res.node_symbol(node.index)]
+            for assignment in product(range(n), repeat=len(fv)):
+                want = eval_fragment(M, node.formula, dict(zip(fv, assignment)))
+                assert table[assignment] == want, (node.name, n, assignment)
+
+
+def test_a_node_grid_past_the_ceiling_is_refused_before_it_is_allocated():
+    # the quantifier node's grid has 8192**2 = 2**26 cells; its A..AE axiom needs 2**39
+    base, n = Signature((("P", 1),)), 1 << 13
+    res = morleyize([parse_fragment("(forall z (rel P x))")], base)
+    M = FiniteStructure(base, n, ())
+    tracemalloc.start()
+    try:
+        with pytest.raises(CeilingError):
+            canonical_expand(M, res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    (pithy,) = res.pithy_axioms
+    with pytest.raises(CeilingError):
+        axiom_holds(FiniteStructure(res.language, n, ()), pithy)
+
+
 def test_model_expansion_satisfies_everything():
     facts = frozenset((s, (i,)) for s in range(3) for i in range(2))
     M = FiniteStructure(BASE_P, 2, facts)
@@ -299,6 +352,7 @@ WALKERS = {
     "_canonicalize": lambda phi: _canonicalize(phi, {"x": "v0"}, [0, 0]),
     "subformula_closure": lambda phi: subformula_closure([phi]),
     "fragment_to_tree": fragment_to_tree,
+    "definition": lambda phi: definition(phi, BASE_P, lambda child: 3),
     "eval_fragment": lambda phi: eval_fragment(FiniteStructure(BASE_P, 2, frozenset()), phi,
                                                {"x": 0}),
 }
