@@ -475,12 +475,36 @@ def test_stages_past_the_ceiling_are_refused_before_building():
     assert h.depth == 0 and not h.guide.routed
 
 
+def first_clash(points, level: int):
+    """The pair sample_structure reports at a level, found one point at a time.
+
+    (i, i) for the first point still in the reservoir, (first, i) for the
+    first point whose cell an earlier point already took; None if no
+    point clashes.
+    """
+    taken: dict[int, int] = {}
+    for i, pt in enumerate(points):
+        pos = pt.position(level)
+        if pos == STAR:
+            return (i, i)
+        if pos in taken:
+            return (taken[pos], i)
+        taken[pos] = i
+    return None
+
+
 def test_separation_gives_up_past_the_extra_budget():
     h = build_limit(2, SEED, check=False)
-    with pytest.raises(SeparationError) as err:
-        sample_structure(h, 20, 2, SEED.child("cram"), max_extra=0)
-    i, j = err.value.pair
-    assert 0 <= i < j < 20
+    kinds = set()
+    for seed in [SEED.child("cram")] + [SeedKey(1).child("cram", s) for s in range(40)]:
+        with pytest.raises(SeparationError) as err:
+            sample_structure(h, 20, 2, seed, max_extra=0)
+        points = [sample_point(h, 2, seed.child("point", i)) for i in range(20)]
+        i, j = want = first_clash(points, 2)
+        assert err.value.pair == want
+        assert str(err.value) == f"points {i} and {j} still collide at level 2"
+        kinds.add("reservoir" if i == j else "shared cell")
+    assert kinds == {"reservoir", "shared cell"}
 
 
 def test_identity_weight_changes_nothing(handle8):
