@@ -35,7 +35,6 @@ from .engine import (
 )
 from .gallery import parse_sampler_spec
 from .limits import (
-    GUIDE_NAME,
     WEIGHT_PRESETS,
     LimitError,
     SeparationError,
@@ -372,8 +371,6 @@ def _cmd_morleyize(args):
 
 
 def _cmd_build_limit(args):
-    if args.guide != GUIDE_NAME:
-        raise UsageError(f"unknown --guide {args.guide!r}")
     try:
         handle = build_limit(args.stages, _seed(args), base_depth=args.base_depth)
     except LimitError as exc:
@@ -422,8 +419,6 @@ def _cmd_limit_sample(args):
 
 def _cmd_rescale(args):
     handle = _load_build_manifest(args.manifest)
-    if args.preset not in WEIGHT_PRESETS:
-        raise UsageError(f"unknown --preset {args.preset!r}; choose from {WEIGHT_PRESETS}")
     stage = args.stage if args.stage is not None else handle.depth
     depth = args.depth if args.depth is not None else handle.depth
     seed = _seed(args)
@@ -522,7 +517,6 @@ def build_parser() -> _Parser:
     p.add_argument("--sentence", action="append", default=[], help="inline sentence s-expr")
 
     p = add("build-limit", _cmd_build_limit, help="run the staged limit construction")
-    p.add_argument("--guide", default=GUIDE_NAME)
     p.add_argument("--stages", type=_int_at_least(1), required=True)
     p.add_argument("--base-depth", type=_int_at_least(2), default=4)
 
@@ -535,7 +529,7 @@ def build_parser() -> _Parser:
     p = add("rescale", _cmd_rescale, trials=True,
             help="reweight a built limit and compare marginals")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--preset", required=True)
+    p.add_argument("--preset", required=True, choices=WEIGHT_PRESETS)
     p.add_argument("--stage", type=_int_at_least(0), default=None)
     p.add_argument("--level", type=_int_at_least(0), default=0)
     p.add_argument("--depth", type=_int_at_least(0), default=None)

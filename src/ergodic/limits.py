@@ -922,29 +922,25 @@ def sample_structure(handle: LimitHandle, m: int, depth: int, seed: SeedKey,
     points = [PathPoint(handle, seed.child("point", i)) for i in range(m)]
     level = depth
     while True:
-        taken: dict[int, int] = {}
-        clash = None
-        for i, pt in enumerate(points):
-            pos = pt.position(level)
-            if pos == STAR:
-                clash = (i, i)
-                break
-            if pos in taken:
-                clash = (taken[pos], i)
-                break
-            taken[pos] = i
-        if clash is None:
+        pos = np.array([pt.position(level) for pt in points], dtype=np.int64)
+        _, first, cell = np.unique(pos, return_index=True, return_inverse=True)
+        first = first[cell]  # the first point in each point's cell
+        clashing = (pos == STAR) | (first < np.arange(m))
+        if not clashing.any():
             break
         if level - depth >= max_extra:
+            # the first clashing point i is either the first in the reservoir,
+            # paired with itself, or in the cell an earlier point first[i] took
+            i = int(np.argmax(clashing))
+            pair = (int(first[i]), i)
             raise SeparationError(
-                f"points {clash[0]} and {clash[1]} still collide at level {level}",
-                pair=clash,
+                f"points {pair[0]} and {i} still collide at level {level}", pair=pair
             )
         level += 1
 
     theory = handle.theory
     lang_ids = tuple(sorted(handle.stage(level).lang))
-    uids = tuple(pt.position(level) for pt in points)
+    uids = tuple(pos.tolist())
     structure = FiniteStructure.from_tables(
         Signature(tuple(map(theory.symbol, lang_ids))), m,
         {local: _fact_array(handle.guide, theory, sym, uids) for local, sym in enumerate(lang_ids)},
@@ -975,21 +971,19 @@ def snapshot_axiom_holds(sample: LimitSample, axiom: Axiom) -> bool:
 
 def scheduled_type_literals(theory: BuildTheory,
                             symbol_ids) -> list[tuple[int, bool]]:
-    """Materialized literals of the omitted type: (symbol, expected truth)."""
-    available = frozenset(symbol_ids)
-    out: list[tuple[int, bool]] = []
-    n = 0
-    while True:
-        sym = theory.iff_symbol(n)
-        if sym in available:
-            out.append((sym, True))
-        elif n >= theory.base_depth and sym > max(available, default=0):
-            break
-        n += 1
-        if n > 4 * _SEPARATION_CAP:
-            break
-    out.append((theory.sc_symbol, False))
-    return out
+    """Materialized literals of the omitted type: (symbol, expected truth).
+
+    Those are the agreement symbols among `symbol_ids` in level order
+    (a base level's iff node, or a deeper level's Riff), then the scheme
+    node, which must not hold.
+    """
+    base = {theory.iff_symbol(n): n for n in range(theory.base_depth)}
+    iffs = sorted(
+        (base[sym] if sym in base else theory.classify(sym)[1], sym)
+        for sym in frozenset(symbol_ids)
+        if sym in base or theory.classify(sym)[0] == "riff"
+    )
+    return [(sym, True) for _, sym in iffs] + [(theory.sc_symbol, False)]
 
 
 def type_omitted_in_sample(sample: LimitSample, theory: BuildTheory) -> bool:
@@ -1139,7 +1133,7 @@ def estimate_marginal(handle: LimitHandle, level: int, trials: int,
     """Monte Carlo mass of the level-`level` predicate under the handle's law."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    hits = 0
+    ends = []  # each point's position at the first level >= depth off the reservoir
     for t in range(trials):
         point = PathPoint(handle, seed.child("point", t))
         point.extend_to(depth)
@@ -1147,8 +1141,8 @@ def estimate_marginal(handle: LimitHandle, level: int, trials: int,
         while point.position(k) == STAR:
             k += 1
             point.extend_to(k)
-        hits += handle.guide.bit(point.position(k), level)
-    return hits / trials
+        ends.append(point.position(k))
+    return int(np.count_nonzero(_bit_vector(handle.guide, ends, level))) / trials
 
 
 # ---------------------------------------------------------------------------

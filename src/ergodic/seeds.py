@@ -4,8 +4,10 @@ Every random quantity in this package is a pure function of a 128-bit
 master key. A single uniform value is addressed by a finite set of
 naturals plus a stream index; the same (key, set, stream) always yields
 the same number, and distinct addresses behave like independent
-uniforms. The set encoding is canonical (sorted, length-prefixed), so
-the order in which callers list the elements never matters.
+uniforms. One encoder, `_encode_frozenset`, writes an address as the
+keyed hash's payload; it is canonical (sorted, length-prefixed), so the
+order in which callers list the elements never matters. `xi_words`
+writes the same bytes for many singletons at once.
 """
 
 from __future__ import annotations
@@ -28,18 +30,20 @@ _TAG_CHILD = b"\x01"
 BITS_PER_STREAM = 53
 
 
-def _encode_set(elements: Iterable[int]) -> bytes:
-    xs = sorted({int(x) for x in elements})
+@lru_cache(maxsize=1 << 16)
+def _encode_frozenset(subset: frozenset, stream: int) -> bytes:
+    """The PRF payload of one (subset, stream) address; the same for every key.
+
+    Tag, element count, the sorted elements as 8-byte big-endian ints,
+    then the stream.
+    """
+    xs = sorted(int(x) for x in subset)
     if xs and xs[0] < 0:
         raise ValueError("subset elements must be nonnegative")
-    parts = [len(xs).to_bytes(4, "big")]
+    parts = [_TAG_VALUE, len(xs).to_bytes(4, "big")]
     parts.extend(x.to_bytes(8, "big") for x in xs)
+    parts.append(int(stream).to_bytes(8, "big"))
     return b"".join(parts)
-
-
-@lru_cache(maxsize=1 << 16)
-def _encode_frozenset(elements: frozenset) -> bytes:
-    return _encode_set(elements)
 
 
 def _canonical_label(label):
@@ -94,25 +98,6 @@ class SeedKey:
         return SeedKey(int.from_bytes(digest.digest(), "big"))
 
 
-_ONE = (1).to_bytes(4, "big")
-
-
-def _value_payload(subset: Iterable[int], stream: int) -> bytes:
-    if type(subset) is tuple and len(subset) == 1 and type(subset[0]) is int and subset[0] >= 0:
-        encoded = _ONE + subset[0].to_bytes(8, "big")  # one element: nothing to sort
-    elif type(subset) is frozenset:
-        encoded = _encode_frozenset(subset)
-    else:
-        encoded = _encode_set(subset)
-    return _TAG_VALUE + encoded + int(stream).to_bytes(8, "big")
-
-
-@lru_cache(maxsize=1 << 16)
-def _subset_payload(subset: frozenset, stream: int) -> bytes:
-    """_value_payload of one (subset, stream) address; the same for every key."""
-    return _value_payload(subset, stream)
-
-
 @lru_cache(maxsize=1 << 10)
 def _keyed_hasher(master: int, digest_size: int = 8):
     """Keyed blake2b state for one master key; callers copy it, never update it.
@@ -125,7 +110,7 @@ def _keyed_hasher(master: int, digest_size: int = 8):
 def xi_raw(key: SeedKey, subset: Iterable[int], stream: int = 0) -> int:
     """64-bit PRF output addressed by (key, subset, stream)."""
     digest = _keyed_hasher(key.master).copy()
-    digest.update(_value_payload(subset, stream))
+    digest.update(_encode_frozenset(frozenset(subset), stream))
     return int.from_bytes(digest.digest(), "big")
 
 
@@ -134,8 +119,8 @@ def xi_words(key: SeedKey, elements: np.ndarray, stream: int = 0) -> np.ndarray:
     us = np.asarray(elements).ravel()
     if us.dtype.kind not in "iu" or (us.size and us.min() < 0):
         raise ValueError("subset elements must be nonnegative integers")
-    # row i is the payload _value_payload writes for the singleton (us[i],)
-    head = _TAG_VALUE + _ONE
+    # row i is the payload _encode_frozenset writes for the singleton {us[i]}
+    head = _TAG_VALUE + (1).to_bytes(4, "big")
     rows = np.empty((len(us), len(head) + 16), dtype=np.uint8)
     rows[:, : len(head)] = np.frombuffer(head, dtype=np.uint8)
     rows[:, len(head) : -8] = us.astype(">u8").view(np.uint8).reshape(-1, 8)
@@ -177,7 +162,7 @@ class XiFamily:
         got = self._cache.get(key)
         if got is None:
             digest = self._hasher.copy()
-            digest.update(_subset_payload(s, stream))
+            digest.update(_encode_frozenset(s, stream))
             got = self._cache[key] = int.from_bytes(digest.digest(), "big")
         return got
 

@@ -169,9 +169,13 @@ def test_estimate_csv_to_file(capsys):
         ["sample", "--sampler", "kaleidoscope:k=4,d=1", "-n", "60"],  # C(60, 4) subset masks
         ["estimate", "--sampler", "maxgraph:d=2", "--phi", "(rel R0 x0 x99999)"],
         ["roots", "--sampler", "kaleidoscope:k=2,d=3", "-n", "30", "--chi", "(rel R0 x0 x7)"],
+        # a preset outside the list, on a manifest that loads
+        ["rescale", "--manifest", "built.json", "--preset", "bogus"],
     ],
 )
 def test_usage_errors_exit_3(capsys, argv):
+    if "built.json" in argv:
+        Path("built.json").write_text(limits.manifest_json(limits.build_limit(2, SeedKey(1))))
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 3

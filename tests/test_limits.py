@@ -19,6 +19,7 @@ from ergodic.limits import (
     SeparationError,
     StageCeilingError,
     Weight,
+    _SEPARATION_CAP,
     _departures,
     _fact_array,
     _formula_bits,
@@ -647,6 +648,36 @@ def test_departures_equal_separating_levels(seed, base_depth):
         got = _departures(handle.guide, new)
         want = handle.guide.separating_levels(np.arange(new), np.full(new, new))
         assert got.tolist() == want.tolist()
+
+
+def level_by_level_type_literals(theory, symbol_ids):
+    """scheduled_type_literals by a capped search over the levels n = 0, 1, ..."""
+    available = frozenset(symbol_ids)
+    out = []
+    n = 0
+    while True:
+        sym = theory.iff_symbol(n)
+        if sym in available:
+            out.append((sym, True))
+        elif n >= theory.base_depth and sym > max(available, default=0):
+            break
+        n += 1
+        if n > 4 * _SEPARATION_CAP:
+            break
+    out.append((theory.sc_symbol, False))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 7, 0xDEE9])
+@pytest.mark.parametrize("base_depth", [2, 4, 6])
+def test_type_literals_match_a_level_by_level_search(seed, base_depth):
+    handle = build_limit(16, SeedKey(seed), base_depth=base_depth, check=False)
+    for k in (0, 3, 8, 12, 16):
+        lang = handle.stage(k).lang
+        want = level_by_level_type_literals(handle.theory, lang)
+        assert scheduled_type_literals(handle.theory, lang) == want
+        assert scheduled_type_literals(handle.theory, sorted(lang, reverse=True)) == want
+    assert len(want) > 100  # the deepest language reaches past level 100
 
 
 def test_new_copies_mostly_leave_their_first_word_undrawn():
