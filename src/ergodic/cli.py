@@ -387,7 +387,7 @@ def _load_build_manifest(path: str):
     except json.JSONDecodeError as exc:
         raise UsageError(f"--manifest is not JSON: {exc}")
     try:
-        return handle_from_manifest(doc, check=False)
+        return handle_from_manifest(doc)
     except (LimitError, KeyError, TypeError) as exc:
         raise UsageError(f"bad build manifest: {exc}")
 

@@ -390,8 +390,10 @@ def _parse_params(text: str) -> dict[str, str]:
     for piece in text.split(","):
         if "=" not in piece:
             raise ValueError(f"malformed parameter {piece!r}")
-        key, value = piece.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in piece.split("=", 1))
+        if key in out:
+            raise ValueError(f"repeated parameter {key!r}")
+        out[key] = value
     return out
 
 

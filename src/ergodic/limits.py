@@ -30,7 +30,10 @@ countably many independent unary predicates, extension axioms for every
 pattern on the first two, and a scheme sentence forcing any two
 elements that agree everywhere to be equal. Guide elements are lazily
 decided bit sequences; all of its oracle answers are sound for every
-finite set of queries.
+finite set of queries. The build reads that theory off its
+Morleyization: a snapshot tabulates each closure node by the node's
+`definition`, level masks come from the same definitions, and the
+omitted type is the Morleyization's `QType`.
 """
 
 from __future__ import annotations
@@ -45,24 +48,19 @@ from operator import or_
 
 import numpy as np
 
-from .logic import CeilingError, FiniteStructure, Rel, Signature, prenex_holds, qf_leaves
+from .logic import CeilingError, FiniteStructure, Rel, Signature, prenex_holds, qf_grid, qf_leaves
 from .morley import (
     Axiom,
-    FAnd,
-    FAtom,
-    FEq,
+    ClosureNode,
     FExists,
     FForall,
-    FNot,
-    FOr,
     FSchemeAnd,
     FSchemeOr,
-    Fragment,
     MorleyResult,
-    canonical_vars,
+    QType,
+    definition,
     morleyize,
     parse_fragment,
-    parts,
 )
 from .seeds import BITS_PER_STREAM, SeedKey, xi_raw, xi_words
 
@@ -156,9 +154,7 @@ class BuildTheory:
     result: MorleyResult
     tail_start: int
     ext_patterns: dict  # node index -> (mask, bits)
-    iff_nodes: tuple[int, ...]  # node index of the agreement formula, n < prefix
-    sc_node: int
-    quantified_nodes: frozenset
+    omitted: QType  # the agreement scheme's: its instance at each base level, then the scheme
     node_bits: tuple[int, ...]  # per node, bitmask of predicate levels it reads
 
     # -- symbol layout -----------------------------------------------------
@@ -170,12 +166,12 @@ class BuildTheory:
 
     def iff_symbol(self, n: int) -> int:
         if n < self.base_depth:
-            return self.result.node_symbol(self.iff_nodes[n])
+            return self.omitted.literals[n].symbol
         return self.tail_start + 2 * (n - self.base_depth) + 1
 
     @property
     def sc_symbol(self) -> int:
-        return self.result.node_symbol(self.sc_node)
+        return self.omitted.literals[-1].symbol
 
     def classify(self, sym: int) -> tuple[str, int]:
         """('pred', n) | ('riff', n) | ('node', node index) for a symbol id."""
@@ -201,21 +197,42 @@ class BuildTheory:
         return self.node_bits[n]
 
 
-def _formula_bits(phi: Fragment) -> int:
-    """Predicate levels read by structural evaluation of a node formula.
+def _guide_answer(node: ClosureNode, n: int) -> np.ndarray | None:
+    """The guide's own table of a node over n distinct handles; None to read its definition.
 
-    Conjunctive scheme, equality, and quantified nodes are evaluated from
-    element identity or held constant, so they read no bits at all. A
-    disjunctive scheme is refused: the type-preservation audit trusts
-    this mask to name every level a symbol reads.
+    Total agreement (a conjunctive scheme, binary here) is identity:
+    distinct handles differ at some level with certainty. A quantified
+    node is closed under the guided theory and true everywhere. A
+    disjunctive scheme is refused.
     """
-    if isinstance(phi, FAtom):
-        return 1 << int(phi.rel.resolved()[1:])
+    phi = node.formula
     if isinstance(phi, FSchemeOr):
-        raise GuideError(f"no level mask for {phi!r}")
-    if isinstance(phi, (FEq, FSchemeAnd, FForall, FExists)):
-        return 0
-    return reduce(or_, map(_formula_bits, parts(phi)), 0)
+        raise GuideError(f"no guided answer for {phi!r}")
+    if isinstance(phi, FSchemeAnd):
+        return np.eye(n, dtype=bool)
+    if isinstance(phi, (FForall, FExists)):
+        return np.ones((n,) * node.arity, dtype=bool)
+    return None
+
+
+def level_masks(result: MorleyResult) -> tuple[int, ...]:
+    """Per closure node, the bitmask of predicate levels its guided table reads.
+
+    A node the guide answers itself reads none; any other reads its
+    definition's base atoms (base symbol n is level n) and its children's
+    levels. The type-preservation audit trusts these masks, so a node the
+    guide cannot answer is refused here, when the theory is built.
+    """
+    nbase = len(result.base.symbols)
+    masks: list[int] = []
+    for node in result.nodes:
+        mask = 0
+        if _guide_answer(node, 0) is None:
+            for leaf in qf_leaves(definition(node.formula, result.base, result.symbol_of)):
+                if isinstance(leaf, Rel):
+                    mask |= 1 << leaf.sym if leaf.sym < nbase else masks[leaf.sym - nbase]
+        masks.append(mask)
+    return tuple(masks)
 
 
 def build_theory(base_depth: int = 4) -> BuildTheory:
@@ -238,27 +255,7 @@ def build_theory(base_depth: int = 4) -> BuildTheory:
     ext_patterns = {}
     for spec, (mask, bits) in zip(parsed[:-1], _EXT_PATTERNS):
         ext_patterns[result.node_of(spec)] = (mask, bits)
-
-    iff_nodes = []
-    for n in range(base_depth):
-        inst = parse_fragment(
-            f"(or (and (rel P{n} x) (rel P{n} y))"
-            f" (and (not (rel P{n} x)) (not (rel P{n} y))))"
-        )
-        iff_nodes.append(result.node_of(inst))
-
-    scheme = parse_fragment(_agreement_sentence(base_depth))
-    assert isinstance(scheme, FForall) and isinstance(scheme.sub, FForall)
-    top = scheme.sub.sub
-    assert isinstance(top, FOr) and isinstance(top.subs[0], FNot)
-    sc_node = result.node_of(top.subs[0].sub)
-
-    quantified = frozenset(
-        i
-        for i, node in enumerate(result.nodes)
-        if isinstance(node.formula, (FForall, FExists))
-    )
-    node_bits = tuple(_formula_bits(node.formula) for node in result.nodes)
+    (omitted,) = result.qtypes  # the agreement scheme is the theory's one scheme
 
     return BuildTheory(
         base_depth=base_depth,
@@ -266,10 +263,8 @@ def build_theory(base_depth: int = 4) -> BuildTheory:
         result=result,
         tail_start=base_depth + len(result.nodes),
         ext_patterns=ext_patterns,
-        iff_nodes=tuple(iff_nodes),
-        sc_node=sc_node,
-        quantified_nodes=quantified,
-        node_bits=node_bits,
+        omitted=omitted,
+        node_bits=level_masks(result),
     )
 
 
@@ -324,9 +319,10 @@ class KaleidoscopePredicateGuide:
     Every other bit is the handle's own, from one keyed PRF word per 53
     levels. Each word is decided on first read, for a whole array of
     handles at once (`words`), and held in one plane per word index.
-    Relations are answered by `_fact_array`, the one evaluator of node
-    formulas over bits: the scheme node and equality are answered from
-    handle identity, and quantified nodes are constants. Those
+    Relations are tabulated by `relation_tables`: predicates and
+    agreement relations from the bits, closure nodes by their
+    Morleyization definitions, except that total agreement is answered
+    from handle identity and quantified nodes are constants. Those
     identity/constant answers are sound for every finite query set: no
     finite collection of bits can certify that two distinct handles
     agree at all levels.
@@ -395,11 +391,12 @@ class KaleidoscopePredicateGuide:
     # -- relations -----------------------------------------------------------
 
     def fact(self, sym: int, handles: tuple[int, ...]) -> bool:
-        """Whether symbol sym holds of the handles: one cell of `_fact_array`."""
-        table = _fact_array(self, self.theory, sym, handles)
-        if table.ndim != len(handles):
-            raise GuideError(f"symbol {sym} has arity {table.ndim}, not {len(handles)}")
-        return bool(table[tuple(range(len(handles)))])
+        """Whether symbol sym holds of the handles: one cell of `relation_tables`."""
+        arity = self.theory.symbol(sym)[1]
+        if arity != len(handles):
+            raise GuideError(f"symbol {sym} has arity {arity}, not {len(handles)}")
+        distinct, cell = np.unique(np.asarray(handles, dtype=np.int64), return_inverse=True)
+        return bool(relation_tables(self, distinct, (sym,))[sym][tuple(cell)])
 
     # -- separation ------------------------------------------------------------
 
@@ -494,7 +491,8 @@ def _witness_requirement(theory: BuildTheory, axiom: Axiom) -> tuple[int, int] |
     """
     if axiom.source in theory.ext_patterns:
         return theory.ext_patterns[axiom.source]
-    if axiom.source is not None and axiom.source in theory.quantified_nodes:
+    if axiom.source is not None and isinstance(theory.result.nodes[axiom.source].formula,
+                                               (FForall, FExists)):
         return None
     raise LimitError(f"axiom {axiom.label} is not in the guided theory")
 
@@ -660,7 +658,7 @@ def stage_invariants(prev: Stage, nxt: Stage,
     non-injectively and are exempt), and it costs one comparison per
     copy. Both checks are exact. The type check rests on
     `BuildTheory.bits_read` naming every level a symbol reads, which
-    `_formula_bits` guarantees by refusing any fragment it cannot mask.
+    `level_masks` guarantees by refusing any node it cannot mask.
     """
     theory = guide.theory
     m = prev.size
@@ -846,47 +844,50 @@ def _bit_vector(guide: KaleidoscopePredicateGuide, uids: Sequence[int],
     return (guide.words(np.asarray(uids, dtype=np.int64), w) >> np.uint64(n)) & np.uint64(1) == 1
 
 
-def _fact_array(guide: KaleidoscopePredicateGuide, theory: BuildTheory,
-                sym: int, uids: Sequence[int]):
-    """Relation table over the handles `uids`, vectorized per symbol class.
+def relation_tables(guide: KaleidoscopePredicateGuide, handles: np.ndarray,
+                    symbols: Sequence[int]) -> dict[int, np.ndarray]:
+    """Tables of the build symbols `symbols` over distinct `handles`, by symbol id.
 
-    Returns a scalar (arity 0), a vector (arity 1) or a matrix (arity 2)
-    whose entry at positions (i, j) says whether sym holds of
-    (uids[i], uids[j]). This is the one evaluator of node formulas over
-    the guide's bits.
+    Entry (i, j) of a binary table says whether the symbol holds of
+    (handles[i], handles[j]). The handles' level bits are read once, one
+    PRF word per word index that a symbol reads: a predicate's table is
+    a column of them, and Riff_n's compares level n's column with
+    itself. Closure nodes follow in closure postorder, up to the last
+    one asked for, each its `definition` over the base columns and its
+    children's tables unless the guide answers it itself
+    (`_guide_answer`). The result may hold tables not asked for.
     """
-    kind, n = theory.classify(sym)
-    if kind == "pred":
-        return _bit_vector(guide, uids, n)
-    if kind == "riff":
-        v = _bit_vector(guide, uids, n)
-        return v[:, None] == v[None, :]
-    node = theory.result.nodes[n]
-    arity = node.arity
-    var_axis = {v: i for i, v in enumerate(canonical_vars(node.formula))}
-    size = len(uids)
-    handles = np.asarray(uids)
+    theory = guide.theory
+    result = theory.result
+    n = len(handles)
+    kinds = [theory.classify(sym) for sym in symbols]
+    last = max((i for kind, i in kinds if kind == "node"), default=-1)
+    reads = reduce(or_, map(theory.bits_read, symbols),
+                   (1 << theory.base_depth) - 1 if last >= 0 else 0)
+    shifts = np.arange(BITS_PER_STREAM, dtype=np.uint64)[:, None]
+    rows = {  # rows[w][b] is level 53w + b of every handle
+        w: (guide.words(handles, w) >> shifts) & np.uint64(1) == 1
+        for w in range(-(-reads.bit_length() // BITS_PER_STREAM))
+        if (reads >> (w * BITS_PER_STREAM)) & _WORD
+    }
 
-    def rec(phi: Fragment):
-        if isinstance(phi, FAtom):
-            level = int(phi.rel.resolved()[1:])
-            v = _bit_vector(guide, uids, level)
-            if arity <= 1:
-                return v
-            return v[:, None] if var_axis[phi.args[0]] == 0 else v[None, :]
-        if isinstance(phi, (FEq, FSchemeAnd)):
-            # equality, and total agreement too: distinct handles differ
-            # at some level with certainty under the bit model
-            return handles[:, None] == handles[None, :]
-        if isinstance(phi, (FForall, FExists)):
-            # closed under the guided theory; constant on all elements
-            return np.ones((size,) * arity, dtype=bool)
-        if isinstance(phi, FNot):
-            return ~rec(phi.sub)
-        return reduce(np.logical_and if isinstance(phi, FAnd) else np.logical_or,
-                      map(rec, parts(phi)))
+    def column(level: int) -> np.ndarray:
+        return rows[level // BITS_PER_STREAM][level % BITS_PER_STREAM]
 
-    return np.broadcast_to(rec(node.formula), (size,) * arity)
+    tables = {}
+    for sym, (kind, level) in zip(symbols, kinds):
+        if kind != "node":
+            v = column(level)
+            tables[sym] = v if kind == "pred" else v[:, None] == v[None, :]
+    if last >= 0:
+        tables.update((level, column(level)) for level in range(theory.base_depth))
+        for node in result.nodes[: last + 1]:
+            table = _guide_answer(node, n)
+            if table is None:
+                table = qf_grid(definition(node.formula, result.base, result.symbol_of),
+                                tables, n, node.arity)
+            tables[result.node_symbol(node.index)] = table
+    return tables
 
 
 @dataclass
@@ -938,14 +939,13 @@ def sample_structure(handle: LimitHandle, m: int, depth: int, seed: SeedKey,
             )
         level += 1
 
-    theory = handle.theory
     lang_ids = tuple(sorted(handle.stage(level).lang))
-    uids = tuple(pos.tolist())
+    tables = relation_tables(handle.guide, pos, lang_ids)
     structure = FiniteStructure.from_tables(
-        Signature(tuple(map(theory.symbol, lang_ids))), m,
-        {local: _fact_array(handle.guide, theory, sym, uids) for local, sym in enumerate(lang_ids)},
+        Signature(tuple(map(handle.theory.symbol, lang_ids))), m,
+        {local: tables[sym] for local, sym in enumerate(lang_ids)},
     )
-    return LimitSample(structure, lang_ids, uids, depth, level)
+    return LimitSample(structure, lang_ids, tuple(pos.tolist()), depth, level)
 
 
 # ---------------------------------------------------------------------------
@@ -974,16 +974,14 @@ def scheduled_type_literals(theory: BuildTheory,
     """Materialized literals of the omitted type: (symbol, expected truth).
 
     Those are the agreement symbols among `symbol_ids` in level order
-    (a base level's iff node, or a deeper level's Riff), then the scheme
-    node, which must not hold.
+    (the type's literal at a base level, or a deeper level's Riff), then
+    the scheme node, which must not hold.
     """
-    base = {theory.iff_symbol(n): n for n in range(theory.base_depth)}
-    iffs = sorted(
-        (base[sym] if sym in base else theory.classify(sym)[1], sym)
-        for sym in frozenset(symbol_ids)
-        if sym in base or theory.classify(sym)[0] == "riff"
-    )
-    return [(sym, True) for _, sym in iffs] + [(theory.sc_symbol, False)]
+    available = frozenset(symbol_ids)
+    *iffs, scheme = theory.omitted.literals
+    riffs = sorted(sym for sym in available if theory.classify(sym)[0] == "riff")
+    return ([(lit.symbol, lit.positive) for lit in iffs if lit.symbol in available]
+            + [(sym, True) for sym in riffs] + [(scheme.symbol, scheme.positive)])
 
 
 def type_omitted_in_sample(sample: LimitSample, theory: BuildTheory) -> bool:
@@ -1136,11 +1134,9 @@ def estimate_marginal(handle: LimitHandle, level: int, trials: int,
     ends = []  # each point's position at the first level >= depth off the reservoir
     for t in range(trials):
         point = PathPoint(handle, seed.child("point", t))
-        point.extend_to(depth)
         k = depth
         while point.position(k) == STAR:
             k += 1
-            point.extend_to(k)
         ends.append(point.position(k))
     return int(np.count_nonzero(_bit_vector(handle.guide, ends, level))) / trials
 
@@ -1195,20 +1191,19 @@ def manifest_json(handle: LimitHandle) -> str:
     return json.dumps(build_manifest(handle), indent=2, sort_keys=True)
 
 
-def handle_from_manifest(doc: dict, check: bool = False) -> LimitHandle:
-    """Rebuild the limit a manifest describes and confirm it matches."""
-    if doc.get("kind") != "build-limit":
+def handle_from_manifest(doc: dict) -> LimitHandle:
+    """Rebuild the limit a manifest describes, unchecked, and confirm it matches."""
+    if not isinstance(doc, dict) or doc.get("kind") != "build-limit":
         raise LimitError("not a build manifest")
     if doc["guide"] != GUIDE_NAME:
         raise LimitError(f"unknown guide {doc['guide']!r}")
-    handle = build_limit(
-        stages=doc["stages"],
-        seed=SeedKey.from_hex(doc["seed"]),
-        base_depth=doc["base_depth"],
-        check=check,
-    )
+    try:
+        seed = SeedKey.from_hex(doc["seed"])
+    except (AttributeError, ValueError):  # not a string, or not 32 hex digits
+        raise LimitError(f"bad seed {doc['seed']!r}") from None
+    handle = build_limit(doc["stages"], seed, base_depth=doc["base_depth"], check=False)
     rebuilt = build_manifest(handle)
-    for key in ("stage_summaries", "schedule", "language"):
+    for key in ("stages", "stage_summaries", "schedule", "language"):
         if rebuilt[key] != doc[key]:
             raise LimitError(f"manifest mismatch in {key}")
     return handle

@@ -419,6 +419,10 @@ class MorleyResult:
     def node_of(self, phi: Fragment) -> int:
         return self.node_lookup[canonical_form(phi)]
 
+    def symbol_of(self, phi: Fragment) -> int:
+        """L' symbol index of the closure node phi canonicalizes to."""
+        return self.node_symbol(self.node_of(phi))
+
 
 def subformula_closure(sentences: list[Fragment]) -> list[Fragment]:
     """Canonical subformulas in postorder of first appearance.
@@ -563,14 +567,11 @@ def canonical_expand(structure: FiniteStructure, result: MorleyResult) -> Finite
         raise MorleyError("structure signature does not match the base language")
     n = structure.domain_size
     tables = dict(structure.tables)
-
-    def symbol(child: Fragment) -> int:
-        return result.node_symbol(result.node_of(child))
-
     for node in result.nodes:
         phi = node.formula
         quantified = isinstance(phi, (FForall, FExists))
-        truth = qf_grid(definition(phi, result.base, symbol), tables, n, node.arity + quantified)
+        truth = qf_grid(definition(phi, result.base, result.symbol_of), tables, n,
+                        node.arity + quantified)
         if quantified:
             truth = truth.all(axis=-1) if isinstance(phi, FForall) else truth.any(axis=-1)
         tables[result.node_symbol(node.index)] = np.array(truth)  # a 0-d array for a sentence

@@ -110,6 +110,7 @@ def test_estimate_csv_to_file(capsys):
         ["no-such-command"],
         ["sample", "--sampler", "maxgraph:d=3"],  # missing -n
         ["sample", "--sampler", "nonsense:d=3", "-n", "4"],
+        ["sample", "--sampler", "bipartite:i=1,j=1,i=2", "-n", "4"],  # a repeated key
         ["sample", "--sampler", "maxgraph:d=3", "-n", "4", "--seed", "xyz"],
         ["estimate", "--sampler", "maxgraph:d=2", "--phi", "(rel R9 x0 x1)"],
         ["estimate", "--sampler", "maxgraph:d=2", "--phi", "(rel R0 x0"],
@@ -171,11 +172,24 @@ def test_estimate_csv_to_file(capsys):
         ["roots", "--sampler", "kaleidoscope:k=2,d=3", "-n", "30", "--chi", "(rel R0 x0 x7)"],
         # a preset outside the list, on a manifest that loads
         ["rescale", "--manifest", "built.json", "--preset", "bogus"],
+        # a build manifest that is a JSON list, whose seed is not 32 hex digits,
+        # or whose stage count is not the number of stages it describes
+        ["limit-sample", "--manifest", "list.json", "-n", "4", "--depth", "6"],
+        ["rescale", "--manifest", "list.json", "--preset", "p0-heavy"],
+        ["limit-sample", "--manifest", "bad-seed.json", "-n", "4", "--depth", "6"],
+        ["rescale", "--manifest", "bad-seed.json", "--preset", "p0-heavy"],
+        ["limit-sample", "--manifest", "int-seed.json", "-n", "4", "--depth", "6"],
+        ["limit-sample", "--manifest", "half-stage.json", "-n", "4", "--depth", "6"],
     ],
 )
 def test_usage_errors_exit_3(capsys, argv):
-    if "built.json" in argv:
-        Path("built.json").write_text(limits.manifest_json(limits.build_limit(2, SeedKey(1))))
+    if "--manifest" in argv:
+        doc = json.loads(limits.manifest_json(limits.build_limit(6, SeedKey(1))))
+        for name, text in [("built.json", doc), ("list.json", [doc]),
+                           ("bad-seed.json", {**doc, "seed": "zz" + doc["seed"][2:]}),
+                           ("int-seed.json", {**doc, "seed": 5}),
+                           ("half-stage.json", {**doc, "stages": 6.5})]:
+            Path(name).write_text(json.dumps(text))
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 3

@@ -210,6 +210,8 @@ def test_parse_sampler_spec_rejects_unknown():
         parse_sampler_spec("wat:x=1")
     with pytest.raises(ValueError):
         parse_sampler_spec("kaleidoscope:k=2,bogus=3")
+    with pytest.raises(ValueError, match="repeated parameter 'i'"):
+        parse_sampler_spec("bipartite:i=1,j=1,i=2")
 
 
 def test_sampled_structures_are_reproducible():

@@ -21,16 +21,16 @@ from ergodic.limits import (
     Weight,
     _SEPARATION_CAP,
     _departures,
-    _fact_array,
-    _formula_bits,
     build_limit,
     build_manifest,
     build_theory,
     estimate_marginal,
     handle_from_manifest,
     init_stage0,
+    level_masks,
     manifest_json,
     materialized_universal_axioms,
+    relation_tables,
     rescale,
     sample_point,
     sample_structure,
@@ -42,7 +42,7 @@ from ergodic.limits import (
     unary_fingerprints,
     weight_preset,
 )
-from ergodic.logic import And, Eq, FiniteStructure, Not, Or, Rel, implies
+from ergodic.logic import And, Eq, FiniteStructure, Not, Or, Rel, Signature, implies
 from ergodic.morley import (
     Axiom,
     FAnd,
@@ -54,9 +54,9 @@ from ergodic.morley import (
     FOr,
     FSchemeAnd,
     FSchemeOr,
-    MorleyError,
     RelRef,
     canonical_vars,
+    morleyize,
 )
 from ergodic.seeds import BITS_PER_STREAM, SeedKey, XiFamily
 
@@ -105,13 +105,23 @@ def test_level_masks_or_over_the_parts_and_refuse_the_rest():
     def atom(n, var="x"):
         return FAtom(RelRef(f"P{n}"), (var,))
 
-    assert _formula_bits(FOr((FNot(atom(0)), FAnd((atom(3), atom(5, "y")))))) == 0b101001
+    def masks(phi):
+        """The level mask of each closure node of phi, looked up by subformula."""
+        result = morleyize([phi], Signature(tuple((f"P{n}", 1) for n in range(6))))
+        got = level_masks(result)
+        return lambda sub: got[result.node_of(sub)]
+
+    top = FOr((FNot(atom(0)), FAnd((atom(3), atom(5, "y")))))
+    mask = masks(top)
+    assert mask(top) == 0b101001 and mask(FNot(atom(0))) == 0b1
     scheme = FSchemeAnd("n", 2, FAtom(RelRef("P", "n"), ("x",)))
-    assert _formula_bits(FAnd((scheme, FEq("x", "y"), FExists("z", atom(1, "z"))))) == 0
+    exists = FExists("z", atom(1, "z"))
+    mask = masks(FAnd((scheme, FEq("x", "y"), exists)))
+    assert [mask(phi) for phi in (scheme, FEq("x", "y"), exists)] == [0, 0, 0]
+    assert mask(FAnd((scheme, FEq("x", "y"), exists))) == 0
+    assert mask(atom(1)) == 0b10  # a scheme instance is read where it is used
     with pytest.raises(GuideError):
-        _formula_bits(FNot(FSchemeOr("n", 2, atom(0))))
-    with pytest.raises(MorleyError, match="not a fragment formula"):
-        _formula_bits(FAnd((atom(0), Rel(0, (0,)))))
+        masks(FNot(FSchemeOr("n", 2, atom(0))))
 
 
 def test_build_theory_validates_depth():
@@ -197,12 +207,13 @@ def full_table_type_preservation(prev, guide) -> bool:
     theory = guide.theory
     m = prev.size
     parent = np.arange(2 * m) % m
+    new_tabs = relation_tables(guide, np.arange(2 * m), sorted(prev.lang))
+    old_tabs = relation_tables(guide, np.arange(m), sorted(prev.lang))
     for sym in sorted(prev.lang):
         arity = theory.symbol(sym)[1]
         if arity == 0 or m == 0:
             continue
-        new_tab = _fact_array(guide, theory, sym, range(2 * m))
-        old_tab = _fact_array(guide, theory, sym, range(m))
+        new_tab, old_tab = new_tabs[sym], old_tabs[sym]
         if arity == 1:
             bad = new_tab != old_tab[parent]
         else:
@@ -467,6 +478,40 @@ def test_snapshot_facts_match_a_per_fact_oracle(handle8):
     assert_facts_match_the_guide(samp, handle.guide)
 
 
+@pytest.mark.parametrize("base_depth", [2, 4, 6])
+def test_a_level_outside_a_nodes_mask_leaves_its_table_alone(base_depth):
+    # the proviso the type audit rests on: a node's table reads no level
+    # outside its mask, so flipping such a level at every handle keeps it
+    handle = build_limit(6, SeedKey(7), base_depth=base_depth, check=False)
+    theory, guide = handle.theory, handle.guide
+    handles = np.arange(0, handle.stage(6).size, 3)
+    nodes = [theory.result.node_symbol(i) for i in range(len(theory.result.nodes))]
+    before = relation_tables(guide, handles, nodes)
+    for level in range(base_depth + 2):
+        guide._planes[0][handles] ^= np.uint64(1 << level)
+        after = relation_tables(guide, handles, nodes)
+        guide._planes[0][handles] ^= np.uint64(1 << level)
+        changed = {sym for sym in nodes if not np.array_equal(before[sym], after[sym])}
+        assert all(theory.bits_read(sym) >> level & 1 for sym in changed)
+        assert bool(changed) == (level < base_depth)  # each base level is read somewhere
+
+
+def test_tables_over_no_point_and_one_point(handle8):
+    lang = sorted(handle8.stage(8).lang)
+    guide = handle8.guide
+    for m in (0, 1):
+        handles = np.arange(m, dtype=np.int64) + 100
+        tables = relation_tables(guide, handles, lang)
+        for sym in lang:
+            arity = handle8.theory.symbol(sym)[1]
+            assert tables[sym].shape == (m,) * arity and tables[sym].dtype == bool
+            if m:
+                want = per_fact_answer(guide, sym, (100,) * arity)
+                assert tables[sym][(0,) * arity] == want
+        samp = sample_structure(handle8, m, 8, SEED.child("few"))
+        assert samp.structure.domain_size == m and len(samp.uids) == m
+
+
 def test_stages_past_the_ceiling_are_refused_before_building():
     h = LimitHandle(SEED, build_theory())
     with pytest.raises(StageCeilingError):
@@ -577,7 +622,9 @@ def test_manifest_roundtrip():
     assert doc["stages"] == 6
     assert len(doc["checks"]) == 6
     assert all(c["passed"] for c in doc["checks"])
-    rebuilt = handle_from_manifest(json.loads(manifest_json(h)), check=True)
+    rebuilt = handle_from_manifest(json.loads(manifest_json(h)))
+    assert not rebuilt.reports  # rebuilt unchecked; checking it reproduces the checks
+    rebuilt.advance_to(rebuilt.depth, check=True)
     assert manifest_json(rebuilt) == manifest_json(h)
 
 
