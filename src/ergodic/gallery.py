@@ -41,33 +41,52 @@ def _relation_block(prefix: str, count: int, arity: int) -> tuple[tuple[str, int
     return tuple((f"{prefix}{m}", arity) for m in range(count))
 
 
-# Fast-path masks; bit positions come from logic's fingerprint layout.
+# Bit positions of the k-set orderings come from logic's fingerprint layout.
 
-# Most C(n, k) * n**k, the k-subsets times the span of a mask: about 0.1 bytes
-# each (n = 20, k = 4: 7.8e8, 85 MB kept, 92 MB peak, 0.3 s on a 2-vCPU machine).
-# The benchmark's widest, n = 30 and k = 3, is 1.1e8; n = 60 and k = 4 would be 6.3e12.
+# Most C(n, k) * n**k, the k-subsets times the span of one k-ary block.
+# _ordering_offsets refuses past it before any work, so the one check
+# stands in front of the pair samplers and both kaleidoscope paths. It
+# bounds the big-int masks of _orderings, about 0.1 bytes per unit, which
+# the pair samplers build at every n (n = 200, k = 2: 8.0e8 units, 78 MB
+# kept, 82 MB peak, 0.25 s on a 2-vCPU machine) and a kaleidoscope builds
+# up to _BULK_KSETS k-sets. Past that a kaleidoscope builds no masks, only
+# 8 * k! bytes of offsets per subset (n = 40, k = 3: 6.3e8 units, 0.5 MB).
+# The benchmark's widest, n = 30 and k = 3, is 1.1e8; n = 60 and k = 4
+# would be 6.3e12.
 MAX_ORDERING_BITS = 1 << 30
+
+
+@lru_cache(maxsize=None)
+def _ordering_offsets(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k-subsets of [n] as an (S, k) array, and the bit of each ordering as (S, k!).
+
+    Subsets come in itertools.combinations order; an ordering's bit is
+    its tuple as a base-n numeral, its offset in one k-ary block, as in
+    _atom_bit. CeilingError, before any work, past MAX_ORDERING_BITS.
+    Both arrays are read-only.
+    """
+    if (units := comb(n, k) * n**k) > MAX_ORDERING_BITS:
+        raise CeilingError(f"the {k}-subsets of {n} points make {units} ordering bits,"
+                           f" past the ceiling of {MAX_ORDERING_BITS}")
+    sets = np.array(list(combinations(range(n), k)), dtype=np.int64).reshape(-1, k)
+    # no k! columns if n < k: there are no subsets to order
+    orders = np.array(list(permutations(range(k))) if len(sets) else [], dtype=np.intp)
+    offsets = sets[:, orders.reshape(-1, k)] @ n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    sets.flags.writeable = offsets.flags.writeable = False
+    return sets, offsets
 
 
 @lru_cache(maxsize=None)
 def _orderings(n: int, k: int) -> tuple[tuple[tuple[frozenset, int], ...], int]:
     """Each k-subset of [n] with the mask of its orderings in one k-ary block.
 
-    Subsets come in itertools.combinations order. Also returns the block
-    stride n**k, the distance between the bits of one tuple under
-    consecutive k-ary symbols. CeilingError, before any work, when the
-    masks pass MAX_ORDERING_BITS.
+    The masks set the bits of _ordering_offsets, subsets in the same
+    order. Also returns the block stride n**k, the distance between the
+    bits of one tuple under consecutive k-ary symbols.
     """
-    if (units := comb(n, k) * n**k) > MAX_ORDERING_BITS:
-        raise CeilingError(f"the {k}-subsets of {n} points make {units} mask bits,"
-                           f" past the ceiling of {MAX_ORDERING_BITS}")
-    combos = list(combinations(range(n), k))
-    # an ordering's bit is its tuple as a base-n numeral, as in _atom_bit (no k! rows if n < k)
-    orders = np.array(list(permutations(range(k))) if combos else [], dtype=np.intp)
-    bits = np.array(combos, dtype=np.int64).reshape(-1, k)[:, orders.reshape(-1, k)]
-    bits = bits @ n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    sets, offsets = _ordering_offsets(n, k)
     subsets = tuple((frozenset(c), sum(1 << b for b in row))
-                    for c, row in zip(combos, bits.tolist()))
+                    for c, row in zip(sets.tolist(), offsets.tolist()))
     return subsets, _layout(n, (k,))[1]
 
 
@@ -88,6 +107,13 @@ def _symbol_bytes(d: int) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]],
         out.append((first // BITS_PER_STREAM, chunks))
     return tuple(out)
 
+
+# Most k-sets a kaleidoscope type_fn reads one at a time; past it, it
+# draws and lays them out as arrays. Warm, per call on a 2-vCPU machine,
+# one at a time against in bulk: kaleidoscope(2, 8) at 28 sets 35 against
+# 35 us, at 45 sets 53 against 44; kaleidoscope(3, 8) at 20 sets 24
+# against 30, at 35 sets 43 against 43, at 56 sets 67 against 58.
+_BULK_KSETS = 32
 
 # Entry b: the q < 8 where bit 7-q of the byte b is set, most significant first.
 _SET_BITS = tuple(tuple(q for q in range(8) if b >> (7 - q) & 1) for b in range(256))
@@ -118,10 +144,12 @@ class KaleidoscopeHypergraph(AhkSampler):
 
     def type_fn(self, n: int, xs: XiFamily) -> TypeFingerprint:
         # Bit m of the value at a k-set is R_m on every ordering of the set.
-        # Per byte of symbol bits, OR each set's ordering mask into one
-        # accumulator per bit set in its byte, then shift each accumulator
-        # once to its symbol's block. Non-injective tuples stay false
-        # without being visited.
+        # Non-injective tuples stay false without being visited.
+        if comb(n, self.k) > _BULK_KSETS:
+            return self._bulk_type_fn(n, xs)
+        # Few sets: per byte of symbol bits, OR each set's ordering mask
+        # into one accumulator per bit set in its byte, then shift each
+        # accumulator once to its symbol's block.
         subsets, stride = _orderings(n, self.k)
         bits = 0
         for stream, chunks in self._symbol_bytes:
@@ -133,6 +161,22 @@ class KaleidoscopeHypergraph(AhkSampler):
                         per_bit[q] = per_bit.get(q, 0) | mask
                 for q, masks in per_bit.items():
                     bits |= masks << (sym + q) * stride
+        return self._from_bits(n, bits)
+
+    def _bulk_type_fn(self, n: int, xs: XiFamily) -> TypeFingerprint:
+        # Many sets: draw each stream's words in one call, scatter the hits
+        # into one bool row of atoms (symbol m's block starts at m * n**k),
+        # and pack the row once.
+        sets, offsets = _ordering_offsets(n, self.k)
+        stride = n**self.k
+        atoms = np.zeros(self.d * stride, dtype=bool)
+        for first in range(0, self.d, BITS_PER_STREAM):
+            words = xs.raw_rows(sets, first // BITS_PER_STREAM)
+            # bit m is bit m % 53 of the mantissa, most significant first, as in XiFamily.bit
+            shifts = np.arange(63, 63 - min(BITS_PER_STREAM, self.d - first), -1, dtype=np.uint64)
+            hit_set, hit_sym = np.nonzero(words[:, None] >> shifts & np.uint64(1))
+            atoms[((first + hit_sym) * stride)[:, None] + offsets[hit_set]] = True
+        bits = int.from_bytes(np.packbits(atoms, bitorder="little").tobytes(), "little")
         return self._from_bits(n, bits)
 
 

@@ -6,8 +6,10 @@ naturals plus a stream index; the same (key, set, stream) always yields
 the same number, and distinct addresses behave like independent
 uniforms. One encoder, `_encode_frozenset`, writes an address as the
 keyed hash's payload; it is canonical (sorted, length-prefixed), so the
-order in which callers list the elements never matters. `xi_words`
-writes the same bytes for many singletons at once.
+order in which callers list the elements never matters. One row writer,
+`_row_words`, writes the same bytes for many same-size addresses at once
+and hashes them: `xi_words` is its singleton case, and `XiFamily.raw_rows`
+reads a family's words through it.
 """
 
 from __future__ import annotations
@@ -35,14 +37,15 @@ def _encode_frozenset(subset: frozenset, stream: int) -> bytes:
     """The PRF payload of one (subset, stream) address; the same for every key.
 
     Tag, element count, the sorted elements as 8-byte big-endian ints,
-    then the stream.
+    then the stream. Elements and stream are read with operator.index, so a
+    non-integer address is a TypeError, never a truncated one.
     """
-    xs = sorted(int(x) for x in subset)
+    xs = sorted(map(operator.index, subset))
     if xs and xs[0] < 0:
         raise ValueError("subset elements must be nonnegative")
     parts = [_TAG_VALUE, len(xs).to_bytes(4, "big")]
     parts.extend(x.to_bytes(8, "big") for x in xs)
-    parts.append(int(stream).to_bytes(8, "big"))
+    parts.append(operator.index(stream).to_bytes(8, "big"))
     return b"".join(parts)
 
 
@@ -114,24 +117,39 @@ def xi_raw(key: SeedKey, subset: Iterable[int], stream: int = 0) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
-def xi_words(key: SeedKey, elements: np.ndarray, stream: int = 0) -> np.ndarray:
-    """xi_raw(key, (u,), stream) for every u of a nonnegative int array, as uint64."""
-    us = np.asarray(elements).ravel()
-    if us.dtype.kind not in "iu" or (us.size and us.min() < 0):
+def _row_words(hasher, rows: np.ndarray, stream: int) -> np.ndarray:
+    """The word `hasher` gives each row's address, for an (N, k) int array, as uint64.
+
+    Row i's payload is the one _encode_frozenset writes for the set of
+    row i at `stream`: the row is sorted first, so its order never
+    matters. ValueError for a non-integer dtype, a negative element or a
+    row that repeats an element (no set's payload repeats one).
+    """
+    rows = np.asarray(rows)
+    if rows.dtype.kind not in "iu":
         raise ValueError("subset elements must be nonnegative integers")
-    # row i is the payload _encode_frozenset writes for the singleton {us[i]}
-    head = _TAG_VALUE + (1).to_bytes(4, "big")
-    rows = np.empty((len(us), len(head) + 16), dtype=np.uint8)
-    rows[:, : len(head)] = np.frombuffer(head, dtype=np.uint8)
-    rows[:, len(head) : -8] = us.astype(">u8").view(np.uint8).reshape(-1, 8)
-    rows[:, -8:] = np.frombuffer(int(stream).to_bytes(8, "big"), dtype=np.uint8)
-    base = _keyed_hasher(key.master)
+    xs = np.sort(rows, axis=1)
+    if xs.size and xs[:, 0].min() < 0:
+        raise ValueError("subset elements must be nonnegative")
+    if (xs[:, 1:] == xs[:, :-1]).any():
+        raise ValueError("a row repeats an element")
+    count, k = xs.shape
+    head = _TAG_VALUE + k.to_bytes(4, "big")
+    payloads = np.empty((count, len(head) + 8 * k + 8), dtype=np.uint8)
+    payloads[:, : len(head)] = np.frombuffer(head, dtype=np.uint8)
+    payloads[:, len(head) : -8] = xs.astype(">u8").view(np.uint8)
+    payloads[:, -8:] = np.frombuffer(operator.index(stream).to_bytes(8, "big"), dtype=np.uint8)
     digests = bytearray()
-    for payload in rows.view(f"V{rows.shape[1]}").ravel().tolist():  # each row as one bytes object
-        digest = base.copy()
+    for payload in payloads.view(f"V{payloads.shape[1]}").ravel().tolist():  # each row as bytes
+        digest = hasher.copy()
         digest.update(payload)
         digests += digest.digest()
     return np.frombuffer(bytes(digests), dtype=">u8").astype(np.uint64)
+
+
+def xi_words(key: SeedKey, elements: np.ndarray, stream: int = 0) -> np.ndarray:
+    """xi_raw(key, (u,), stream) for every u of a nonnegative int array, as uint64."""
+    return _row_words(_keyed_hasher(key.master), np.asarray(elements).reshape(-1, 1), stream)
 
 
 class XiFamily:
@@ -165,6 +183,20 @@ class XiFamily:
             digest.update(_encode_frozenset(s, stream))
             got = self._cache[key] = int.from_bytes(digest.digest(), "big")
         return got
+
+    def raw_rows(self, rows: np.ndarray, stream: int = 0) -> np.ndarray:
+        """raw(row, stream) for each row of an (N, k) int array, as uint64, in one call.
+
+        Remaps and traces each row's set as raw does. The words are drawn
+        under this family's own hash state and are not cached.
+        """
+        rows = np.asarray(rows)
+        if self.remap is not None and rows.size:
+            rows = np.array([[self.remap[p] for p in row] for row in rows.tolist()])
+        words = _row_words(self._hasher, rows, stream)
+        if self.trace is not None:
+            self.trace.update(map(frozenset, rows.tolist()))
+        return words
 
     def value(self, positions: Iterable[int], stream: int = 0) -> float:
         return (self.raw(positions, stream) >> 11) * 2.0**-53

@@ -9,7 +9,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from ergodic.engine import estimate_measure, sample
+from ergodic.engine import coherence_check, estimate_measure, sample
 from ergodic.gallery import (
     GALLERY,
     MAX_ORDERING_BITS,
@@ -20,6 +20,7 @@ from ergodic.gallery import (
     KaleidoscopeHypergraph,
     MaxGraph,
     MixtureControl,
+    _BULK_KSETS,
     _orderings,
     parse_sampler_spec,
     truncated_geometric,
@@ -430,19 +431,36 @@ def test_subset_masks_past_the_ceiling_are_refused_before_any_work():
     assert _orderings.cache_info().currsize == before
 
 
+# k = 2 at the last n read one set at a time and the first n read in bulk
+SMALL_N = max(n for n in range(2, 100) if math.comb(n, 2) <= _BULK_KSETS)
+
+
 @pytest.mark.parametrize(
     "sampler,n",
     # n = 30 spreads the sets over all 256 byte values; d = 60 leaves a
     # partial last byte of 7 bits on stream 1
-    [(KaleidoscopeHypergraph(3, 8), 30), (KaleidoscopeHypergraph(2, BITS_PER_STREAM + 7), 12)],
-    ids=["k=3,d=8,n=30", "k=2,d=60,n=12"],
+    [(KaleidoscopeHypergraph(3, 8), 30), (KaleidoscopeHypergraph(2, BITS_PER_STREAM + 7), 12),
+     (KaleidoscopeHypergraph(2, BITS_PER_STREAM + 7), SMALL_N),
+     (KaleidoscopeHypergraph(2, BITS_PER_STREAM + 7), SMALL_N + 1)],
+    ids=["k=3,d=8,n=30", "k=2,d=60,n=12", "k=2,d=60,last-n-one-at-a-time",
+         "k=2,d=60,first-n-in-bulk"],
 )
 def test_kaleidoscope_matches_the_reference_at_large_n(sampler, n):
     key = SEED.child("wide", sampler.name, n)
-    got_trace, want_trace = set(), set()
-    got = sampler.type_fn(n, XiFamily(key, trace=got_trace))
-    assert got == reference_kaleidoscope(sampler, n, XiFamily(key, trace=want_trace))
-    assert got_trace == want_trace
+    remap = dict(enumerate(random.Random(n).sample(range(3 * n), n)))
+    for family in ({}, {"remap": remap}):
+        got_trace, want_trace = set(), set()
+        got = sampler.type_fn(n, XiFamily(key, trace=got_trace, **family))
+        assert got == reference_kaleidoscope(sampler, n, XiFamily(key, trace=want_trace, **family))
+        assert got_trace == want_trace
+
+
+def test_bulk_and_one_at_a_time_kaleidoscopes_cohere():
+    # n = 12 draws its 220 sets in bulk, m = 5 its 10 one at a time;
+    # restriction compares the two, and the permuted family remaps the bulk rows
+    assert math.comb(5, 3) <= _BULK_KSETS < math.comb(12, 3)
+    report = coherence_check(KaleidoscopeHypergraph(3, 8), 12, 5, 20, SEED)
+    assert report.failures == ()
 
 
 def atom_bit_orderings(n, k):

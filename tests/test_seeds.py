@@ -10,6 +10,8 @@ from ergodic.seeds import (
     BITS_PER_STREAM,
     SeedKey,
     XiFamily,
+    _keyed_hasher,
+    _row_words,
     xi_raw,
     xi_words,
 )
@@ -67,6 +69,19 @@ def test_subset_order_never_matters():
 def test_negative_elements_rejected():
     with pytest.raises(ValueError):
         xi(KEY, [-1, 2])
+
+
+def test_non_integer_addresses_are_refused_not_truncated():
+    with pytest.raises(TypeError):
+        xi_raw(KEY, [1.7])  # was xi_raw(KEY, [1])
+    with pytest.raises(TypeError):
+        XiFamily(KEY).raw([1.5, 2])  # was xi_raw(KEY, [1, 2])
+    with pytest.raises(TypeError):
+        xi_raw(KEY, [1, 1.5])  # was a two-element payload repeating 1
+    with pytest.raises(TypeError):
+        xi_raw(KEY, [1], stream=0.5)
+    # integer-like elements still address the int they equal
+    assert xi_raw(KEY, [np.int64(3), np.uint8(1)], np.int32(2)) == xi_raw(KEY, [1, 3], 2)
 
 
 def test_values_deterministic_and_distinct():
@@ -225,3 +240,45 @@ def test_words_equal_raw_singletons(dtype):
 def test_words_refuse_negative_and_non_integer_elements(bad):
     with pytest.raises(ValueError):
         xi_words(KEY, bad)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("stream", [0, 1, 200])
+def test_family_rows_equal_raw_row_by_row(k, stream):
+    rng = np.random.default_rng(k)
+    rows = np.array([rng.choice(40, k, replace=False) for _ in range(25)] + [list(range(k))])
+    remap = dict(enumerate(rng.permutation(40).tolist()))
+    for remapped in (None, remap):
+        got_trace, want_trace = set(), set()
+        got = XiFamily(KEY, remap=remapped, trace=got_trace).raw_rows(rows, stream)
+        want = XiFamily(KEY, remap=remapped, trace=want_trace)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [want.raw(row, stream) for row in rows.tolist()]
+        assert got_trace == want_trace
+
+
+def test_family_rows_of_singletons_are_words():
+    elements = np.array([0, 5, 1 << 33, 7])
+    for stream in (0, 1, 200):
+        got = XiFamily(KEY).raw_rows(elements.reshape(-1, 1), stream)
+        assert got.tolist() == xi_words(KEY, elements, stream).tolist()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_family_rows_of_no_rows_are_empty(k):
+    trace = set()
+    for remap in (None, {0: 1}):
+        got = XiFamily(KEY, remap=remap, trace=trace).raw_rows(np.empty((0, k), dtype=np.int64))
+        assert got.dtype == np.uint64 and len(got) == 0
+    assert trace == set()
+
+
+@pytest.mark.parametrize(
+    "bad", [np.array([[1, 2], [3, 3]]), np.array([[1, -2]]), np.array([[1.0, 2.0]])],
+    ids=["repeated", "negative", "float"],
+)
+def test_row_writer_refuses_repeats_negatives_and_floats(bad):
+    with pytest.raises(ValueError):
+        _row_words(_keyed_hasher(KEY.master), bad, 0)
+    with pytest.raises(ValueError):
+        XiFamily(KEY).raw_rows(bad)
