@@ -199,15 +199,18 @@ class MaxGraph(AhkSampler):
         d = self.d
         # prefixes are read only for vertices in some pair: none at n = 1
         prefix = [xs.prefix((i,), d) for i in range(n)] if n > 1 else []
-        # R_sym is bit d-1-sym of the max prefix: each vertex's prefix
-        # spread to one block stride per symbol, times the pair's mask
+        # R_sym is bit d-1-sym of the max prefix. Each pair's mask is ORed
+        # into the vertex holding that max (ties to i); then each winner's
+        # masks, which all lie in one block, times its prefix spread to one
+        # block stride per symbol: one product per vertex, not one per pair
         pairs, stride = _orderings(n, 2)
-        spread = [
-            sum(1 << sym * stride for sym in range(d) if p >> (d - 1 - sym) & 1) for p in prefix
-        ]
-        bits = 0
+        won = [0] * n
         for (i, j), (_, mask) in zip(combinations(range(n), 2), pairs):
-            bits |= mask * spread[i if prefix[i] >= prefix[j] else j]
+            won[i if prefix[i] >= prefix[j] else j] |= mask
+        bits = 0
+        for masks, p in zip(won, prefix):
+            if masks:
+                bits |= masks * sum(1 << sym * stride for sym in range(d) if p >> (d - 1 - sym) & 1)
         return self._from_bits(n, bits)
 
 

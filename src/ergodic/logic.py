@@ -90,16 +90,33 @@ class FiniteStructure:
 
         CeilingError past MAX_FINGERPRINT_BITS cells, before any table is allocated.
         """
-        if domain_size < 0:
-            raise LogicError("domain_size must be nonnegative")
-        n, arities = domain_size, signature.arities()
-        _check_cells(sum(n**ar for ar in arities), f"the tables of {n} points")
-        vars(self).update(signature=signature, domain_size=n)
-        tables = {sym: np.zeros((n,) * ar, dtype=bool) for sym, ar in enumerate(arities)}
+        tables = self._tables(signature, domain_size, {})
         for sym, args in facts:
             args = self._atom(sym, args)
             tables[sym][args] = True
         vars(self)["tables"] = _read_only(tables)
+
+    def _tables(self, signature: Signature, domain_size: int, given: dict[int, np.ndarray]):
+        """Check the size, then the `given` tables, before allocating anything.
+
+        Sets the signature and size; returns every table in signature order,
+        zeros for the symbols `given` lacks.
+        """
+        if domain_size < 0:
+            raise LogicError("domain_size must be nonnegative")
+        n, arities = domain_size, signature.arities()
+        _check_cells(sum(n**ar for ar in arities), f"the tables of {n} points")
+        for sym, table in given.items():
+            if not 0 <= sym < len(signature):
+                raise LogicError(f"table for unknown symbol index {sym}")
+            shape = (n,) * arities[sym]
+            if not isinstance(table, np.ndarray) or table.dtype != bool or table.shape != shape:
+                raise LogicError(
+                    f"table for {signature.name(sym)} must be a bool array of shape {shape}"
+                )
+        vars(self).update(signature=signature, domain_size=n)
+        return {sym: given[sym] if sym in given else np.zeros((n,) * ar, dtype=bool)
+                for sym, ar in enumerate(arities)}
 
     @classmethod
     def from_tables(
@@ -112,16 +129,8 @@ class FiniteStructure:
         holds nowhere. The structure keeps read-only views of the arrays
         given, so they must not change afterwards.
         """
-        structure = cls(signature, domain_size, ())  # checks the size; all-false tables
-        for sym, table in tables.items():
-            if not 0 <= sym < len(signature):
-                raise LogicError(f"table for unknown symbol index {sym}")
-            shape = (domain_size,) * signature.arity(sym)
-            if not isinstance(table, np.ndarray) or table.dtype != bool or table.shape != shape:
-                raise LogicError(
-                    f"table for {signature.name(sym)} must be a bool array of shape {shape}"
-                )
-        vars(structure)["tables"] = _read_only({**structure.tables, **tables})
+        structure = cls.__new__(cls)
+        vars(structure)["tables"] = _read_only(structure._tables(signature, domain_size, tables))
         return structure
 
     def __setattr__(self, name: str, value) -> None:

@@ -463,6 +463,24 @@ def test_replay_pipeline_commands(capsys):
     assert replay("resc.jsonl.manifest.json")
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # a functools cache, so emptying the package's caches rebuilds it
+    assert callable(cli.build_parser.cache_clear)
+    assert cli.build_parser() is cli.build_parser()
+    morley = ["morleyize", "--base", "P/1"]
+    assert main([*morley, "--sentence", "(exists x (rel P x))"]) == 0
+    assert main(morley) == 3  # no sentence is left over from the call before
+    argv = ["sample", "--sampler", "maxgraph:d=16", "-n", "30", *SEED_ARGS]
+    assert main(argv[:3]) == 3
+    assert main([*argv, "--out", "reused.jsonl"]) == 0
+    cli.build_parser.cache_clear()
+    assert main([*argv, "--out", "fresh.jsonl"]) == 0
+    assert Path("reused.jsonl").read_bytes() == Path("fresh.jsonl").read_bytes()
+    main(["roots", "--sampler", "maxgraph:d=16", "-n", "30", "--out", "r.jsonl", *SEED_ARGS])
+    capsys.readouterr()
+    assert replay("r.jsonl.manifest.json")
+
+
 def test_replay_detects_tampering(capsys):
     main(["estimate", "--sampler", "maxgraph:d=2", "--phi", "(rel R0 x0 x1)",
           "--trials", "150", "--out", "t.jsonl", *SEED_ARGS])

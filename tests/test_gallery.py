@@ -455,6 +455,20 @@ def test_kaleidoscope_matches_the_reference_at_large_n(sampler, n):
         assert got_trace == want_trace
 
 
+@pytest.mark.parametrize("d", [1, 16, BITS_PER_STREAM + 3])
+def test_maxgraph_matches_the_reference_at_large_n(d):
+    # n = 30 as the benchmark samples it: each vertex wins many pairs, and
+    # d = 1 ties about half the prefixes; BITS_PER_STREAM + 3 reads two streams
+    sampler, n = MaxGraph(d), 30
+    key = SEED.child("wide", sampler.name, n)
+    remap = dict(enumerate(random.Random(d).sample(range(3 * n), n)))
+    for family in ({}, {"remap": remap}):
+        got_trace, want_trace = set(), set()
+        got = sampler.type_fn(n, XiFamily(key, trace=got_trace, **family))
+        assert got == reference_maxgraph(sampler, n, XiFamily(key, trace=want_trace, **family))
+        assert got_trace == want_trace
+
+
 def test_bulk_and_one_at_a_time_kaleidoscopes_cohere():
     # n = 12 draws its 220 sets in bulk, m = 5 its 10 one at a time;
     # restriction compares the two, and the permuted family remaps the bulk rows
