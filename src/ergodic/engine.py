@@ -26,6 +26,7 @@ from .logic import (
     QfFormula,
     Signature,
     TypeFingerprint,
+    _fingerprint,
     check_width,
     num_vars,
     structure_from_fingerprint,
@@ -57,7 +58,7 @@ class AhkSampler:
     def _from_bits(self, n: int, bits: int) -> TypeFingerprint:
         """Fingerprint of an injective n-tuple from its packed atom bits."""
         sublanguage, arities = self._language
-        return TypeFingerprint(n, sublanguage, arities, bits)
+        return _fingerprint(n, sublanguage, arities, bits)
 
 
 def sample(sampler: AhkSampler, n: int, seed: SeedKey) -> FiniteStructure:
@@ -121,7 +122,8 @@ def _trials(sampler: AhkSampler, n: int, trials: int, seed: SeedKey) -> Iterator
     if trials <= 0:
         raise ValueError("trials must be positive")
     check_width(n, sampler.signature.arities())
-    return (sampler.type_fn(n, XiFamily(seed.child("trial", t))) for t in range(trials))
+    type_fn, child = sampler.type_fn, seed.child
+    return (type_fn(n, XiFamily(child("trial", t))) for t in range(trials))
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,17 @@ negative fixture for dissociation testing.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
+from operator import sub
 
 import numpy as np
 
 from .engine import AhkSampler
-from .logic import CeilingError, Signature, TypeFingerprint, _layout, pack_atoms
+from .logic import CeilingError, Signature, TypeFingerprint, _layout, _set_bits
 from .seeds import BITS_PER_STREAM, XiFamily
 
 
@@ -241,16 +243,16 @@ class GeometricGraph(AhkSampler):
         self.signature = Signature((("R0", 2),))
         self.name = f"geometric:dim={dim},norm={norm},p={p}"
 
-    def _close(self, a: tuple[float, ...], b: tuple[float, ...]) -> bool:
+    def _close(self, a: Sequence[float], b: Sequence[float]) -> bool:
         if self.norm == "euclidean":
             return sum((x - y) ** 2 for x, y in zip(a, b)) < 1.0
-        return max(abs(x - y) for x, y in zip(a, b)) < 1.0
+        return max(map(abs, map(sub, a, b))) < 1.0
 
     def type_fn(self, n: int, xs: XiFamily) -> TypeFingerprint:
         # points are read only for vertices in some pair: none at n = 1
         points = [
             self.point_override[i] if i in self.point_override
-            else tuple(2.0 * xs.value((i,), c) for c in range(self.dim))
+            else [2.0 * xs.value((i,), c) for c in range(self.dim)]
             for i in range(n)
         ] if n > 1 else []
         bits = 0
@@ -324,16 +326,17 @@ class KaleidoscopeDigraph(AhkSampler):
         cls = {
             i: truncated_geometric(xs.value((i,), 1), self.d) for i in range(n) if is_o[i]
         } if n > 1 else {}
-        atoms = [(0, (i, i)) for i in range(n) if is_o[i]]
+        # R(i, j) is bit i * n + j
+        ks = [i * n + i for i in range(n) if is_o[i]]
         for i, j in permutations(range(n), 2):
             if not is_o[j]:
                 continue  # nothing points into P
             if is_o[i]:
                 if cls[i] <= cls[j]:
-                    atoms.append((0, (i, j)))
+                    ks.append(i * n + j)
             elif xs.bit((i,), cls[j], base_stream=2):
-                atoms.append((0, (i, j)))
-        return self._from_bits(n, pack_atoms(n, self._language[1], atoms))
+                ks.append(i * n + j)
+        return self._from_bits(n, _set_bits(ks, n * n))
 
 
 class BipartiteLabels(AhkSampler):
@@ -370,20 +373,21 @@ class BipartiteLabels(AhkSampler):
         return min(k, self.j_depth)
 
     def type_fn(self, n: int, xs: XiFamily) -> TypeFingerprint:
+        # P(x) is bit offsets[0] + x; R_s(x, y) is bit offsets[s] + x * n + y
+        offsets, width = _layout(n, self._language[1])
         marked = [xs.value((x,), 0) < 0.5 for x in range(n)]
-        atoms = [(0, (x,)) for x in range(n) if marked[x]]
+        ks = [offsets[0] + x for x in range(n) if marked[x]]
         # only a marked -> unmarked pair reads its label, column and x's label set
         for x, y in permutations(range(n), 2):
             if not marked[x] or marked[y]:
                 continue
-            pair = frozenset((x, y))
-            label = truncated_geometric(xs.value(pair, 0), self.i_depth)
+            label = truncated_geometric(xs.value((x, y), 0), self.i_depth)
             in_set = xs.bit((x,), label, base_stream=1) == 1
-            height = self.column_height(in_set, xs.value(pair, 1))
+            height = self.column_height(in_set, xs.value((x, y), 1))
             # R^label_j for j < height: symbol 1 + label * j_depth + j
             first = 1 + label * self.j_depth
-            atoms += ((sym, (x, y)) for sym in range(first, first + height))
-        return self._from_bits(n, pack_atoms(n, self._language[1], atoms))
+            ks += (offsets[sym] + x * n + y for sym in range(first, first + height))
+        return self._from_bits(n, _set_bits(ks, width))
 
 
 class MixtureControl(AhkSampler):

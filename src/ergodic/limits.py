@@ -62,7 +62,7 @@ from .morley import (
     morleyize,
     parse_fragment,
 )
-from .seeds import BITS_PER_STREAM, SeedKey, xi_raw, xi_words
+from .seeds import BITS_PER_STREAM, SeedKey, XiFamily, xi_words
 
 STAR = -1  # reservoir marker in position/parent arrays
 
@@ -814,7 +814,7 @@ class PathPoint:
 
     def __init__(self, handle: LimitHandle, key: SeedKey):
         self.handle = handle
-        self.key = key
+        self._xs = XiFamily(key)
         self.positions: list[int] = [STAR]
 
     def extend_to(self, depth: int) -> None:
@@ -823,7 +823,7 @@ class PathPoint:
         while len(self.positions) <= depth:
             k, pos = len(self.positions), self.positions[-1]
             a, b = self.handle.split(k, pos)
-            if (xi_raw(self.key, (k,)) >> 11) * (a + b) >= a << 53:  # the second child
+            if (self._xs.raw((k,)) >> 11) * (a + b) >= a << 53:  # the second child
                 pos = (1 << k) - 2 if pos == STAR else pos + (1 << (k - 1)) - 1
             self.positions.append(pos)
 

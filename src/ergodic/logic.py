@@ -200,6 +200,27 @@ class QfFormula:
     __slots__ = ()
 
 
+def _hash_kept(cls):
+    """A frozen formula class whose field hash each node computes once and keeps.
+
+    The dataclass hash walks the whole formula on every call; caches keyed
+    by a formula (TypeFingerprint.models looks one up per call) hash it
+    far more often than they build it.
+    """
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self.__dict__["_hash"] = field_hash(self)
+            return self._hash
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_hash_kept
 @dataclass(frozen=True)
 class Rel(QfFormula):
     sym: int
@@ -211,6 +232,7 @@ class Rel(QfFormula):
             raise LogicError("variable indices must be nonnegative")
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class Eq(QfFormula):
     left: int
@@ -221,11 +243,13 @@ class Eq(QfFormula):
             raise LogicError("variable indices must be nonnegative")
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class Not(QfFormula):
     sub: QfFormula
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class And(QfFormula):
     subs: tuple[QfFormula, ...]
@@ -236,6 +260,7 @@ class And(QfFormula):
             raise LogicError("And needs at least one conjunct")
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class Or(QfFormula):
     subs: tuple[QfFormula, ...]
@@ -390,12 +415,16 @@ def pack_atoms(arity: int, arities: tuple[int, ...], atoms) -> int:
     atom and every equality bit is false.
     """
     ks = [_atom_bit(arity, arities, si, args) for si, args in atoms]
+    return _set_bits(ks, _layout(arity, arities)[1])
+
+
+def _set_bits(ks: list[int], width: int) -> int:
+    """The int with bit k set for each k in `ks`, all of them below `width`."""
     if len(ks) < 64:  # a few small ints: OR them in
         bits = 0
         for k in ks:
             bits |= 1 << k
         return bits
-    width = _layout(arity, arities)[1]
     digits = bytearray(b"0") * width  # digit width - 1 - k is bit k
     for k in ks:
         digits[width - 1 - k] = 49  # ord("1")
@@ -479,7 +508,7 @@ class TypeFingerprint:
         bits = 0
         if getter is not None:
             bits = int("".join(getter(format(self.bits | guard, "b"))), 2)
-        return TypeFingerprint(len(coords), self.sublanguage, self.arities, bits)
+        return _fingerprint(len(coords), self.sublanguage, self.arities, bits)
 
     def agrees(self, coords_a: tuple[int, ...], coords_b: tuple[int, ...]) -> bool:
         """reindexed(coords_a) == reindexed(coords_b), without building either."""
@@ -573,6 +602,23 @@ def _qf_test(
         raise LogicError(f"not a quantifier-free formula: {f!r}")
 
     return rec(phi)
+
+
+def _fingerprint(arity: int, sublanguage: tuple[int, ...], arities: tuple[int, ...],
+                 bits: int) -> TypeFingerprint:
+    """TypeFingerprint(arity, sublanguage, arities, bits), without the frozen dataclass __init__.
+
+    For fields that are already of the right types, as in a sampler's
+    type function: the fields go straight into the instance dict, as
+    FiniteStructure writes its own.
+    """
+    fp = object.__new__(TypeFingerprint)
+    fields = fp.__dict__
+    fields["arity"] = arity
+    fields["sublanguage"] = sublanguage
+    fields["arities"] = arities
+    fields["bits"] = bits
+    return fp
 
 
 def sub_arities(signature: Signature, sublanguage: tuple[int, ...]) -> tuple[int, ...]:

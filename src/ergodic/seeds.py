@@ -18,7 +18,7 @@ import hashlib
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -32,15 +32,17 @@ _TAG_CHILD = b"\x01"
 BITS_PER_STREAM = 53
 
 
-@lru_cache(maxsize=1 << 16)
-def _encode_frozenset(subset: frozenset, stream: int) -> bytes:
-    """The PRF payload of one (subset, stream) address; the same for every key.
+@lru_cache(maxsize=1 << 16, typed=True)
+def _encode_frozenset(stream: int, *elements) -> bytes:
+    """The PRF payload of the set of `elements` at `stream`; the same for every key.
 
-    Tag, element count, the sorted elements as 8-byte big-endian ints,
-    then the stream. Elements and stream are read with operator.index, so a
-    non-integer address is a TypeError, never a truncated one.
+    Tag, element count, the sorted distinct elements as 8-byte big-endian
+    ints, then the stream. Elements and stream are read with
+    operator.index, so a non-integer address is a TypeError, never a
+    truncated one. The cache is typed: 2.0 never finds the entry 2 made,
+    so it is refused whatever was drawn before.
     """
-    xs = sorted(map(operator.index, subset))
+    xs = sorted(set(map(operator.index, elements)))
     if xs and xs[0] < 0:
         raise ValueError("subset elements must be nonnegative")
     parts = [_TAG_VALUE, len(xs).to_bytes(4, "big")]
@@ -81,9 +83,6 @@ class SeedKey:
     def hex(self) -> str:
         return f"{self.master:032x}"
 
-    def _key_bytes(self) -> bytes:
-        return self.master.to_bytes(16, "big")
-
     def child(self, *labels) -> "SeedKey":
         """Derive an independent subkey from a label path.
 
@@ -96,25 +95,32 @@ class SeedKey:
             if type(label) is not int and type(label) is not str:
                 labels = _canonical_label(labels)
                 break
-        digest = _keyed_hasher(self.master, 16).copy()
-        digest.update(_TAG_CHILD + repr(labels).encode())
-        return SeedKey(int.from_bytes(digest.digest(), "big"))
+        digest = _child_hasher(self.master).copy()
+        digest.update(repr(labels).encode())
+        # a 16-byte digest is in range: set the field without __init__'s check
+        key = object.__new__(SeedKey)
+        key.__dict__["master"] = int.from_bytes(digest.digest(), "big")
+        return key
 
 
 @lru_cache(maxsize=1 << 10)
-def _keyed_hasher(master: int, digest_size: int = 8):
-    """Keyed blake2b state for one master key; callers copy it, never update it.
+def _keyed_hasher(master: int):
+    """Keyed blake2b state drawing one master key's PRF words; callers copy it, never update it."""
+    return hashlib.blake2b(digest_size=8, key=master.to_bytes(16, "big"))
 
-    Digest size 8 draws PRF words (xi_raw), 16 derives child keys.
+
+@lru_cache(maxsize=1 << 10)
+def _child_hasher(master: int):
+    """Keyed blake2b state deriving one master key's child keys, the child tag absorbed.
+
+    Callers copy it, never update it.
     """
-    return hashlib.blake2b(digest_size=digest_size, key=master.to_bytes(16, "big"))
+    return hashlib.blake2b(_TAG_CHILD, digest_size=16, key=master.to_bytes(16, "big"))
 
 
 def xi_raw(key: SeedKey, subset: Iterable[int], stream: int = 0) -> int:
-    """64-bit PRF output addressed by (key, subset, stream)."""
-    digest = _keyed_hasher(key.master).copy()
-    digest.update(_encode_frozenset(frozenset(subset), stream))
-    return int.from_bytes(digest.digest(), "big")
+    """64-bit PRF output addressed by (key, subset, stream): XiFamily(key).raw(subset, stream)."""
+    return XiFamily(key).raw(subset, stream)
 
 
 def _row_words(hasher, rows: np.ndarray, stream: int) -> np.ndarray:
@@ -160,35 +166,35 @@ class XiFamily:
     touching the underlying key) and can record which subsets were
     resolved, which makes "reads only these subsets" audits structural
     rather than statistical.
+
+    Every read (`raw`, and `value`, `bit` and `prefix` through it) takes
+    one path: remap, trace, then `_word` under the family's keyed state,
+    the same word xi_raw gives. The family keeps no words: a re-read
+    hashes again. Only the payloads are cached, in _encode_frozenset.
     """
 
+    __slots__ = ("remap", "trace", "_hasher")
+
     def __init__(self, key: SeedKey, remap=None, trace: set | None = None):
-        self.key = key
         self.remap = remap
         self.trace = trace
         # keyed hash state copied per read: the same digests as xi_raw
-        self._hasher = hashlib.blake2b(digest_size=8, key=key._key_bytes())
-        self._cache: dict[tuple[frozenset, int], int] = {}
+        self._hasher = hashlib.blake2b(digest_size=8, key=key.master.to_bytes(16, "big"))
 
-    def raw(self, positions: Iterable[int], stream: int = 0) -> int:
-        s = positions if type(positions) is frozenset else frozenset(positions)
+    def raw(self, positions: Collection[int], stream: int = 0) -> int:
         if self.remap is not None:
-            s = frozenset(self.remap[p] for p in s)
+            positions = [self.remap[operator.index(p)] for p in positions]
+        digest = self._hasher.copy()
+        digest.update(_encode_frozenset(stream, *positions))
         if self.trace is not None:
-            self.trace.add(s)
-        key = (s, stream)
-        got = self._cache.get(key)
-        if got is None:
-            digest = self._hasher.copy()
-            digest.update(_encode_frozenset(s, stream))
-            got = self._cache[key] = int.from_bytes(digest.digest(), "big")
-        return got
+            self.trace.add(frozenset(positions))
+        return int.from_bytes(digest.digest(), "big")
 
     def raw_rows(self, rows: np.ndarray, stream: int = 0) -> np.ndarray:
         """raw(row, stream) for each row of an (N, k) int array, as uint64, in one call.
 
-        Remaps and traces each row's set as raw does. The words are drawn
-        under this family's own hash state and are not cached.
+        Remaps and traces each row's set as raw does, and draws under the
+        same keyed state.
         """
         rows = np.asarray(rows)
         if self.remap is not None and rows.size:
@@ -198,15 +204,15 @@ class XiFamily:
             self.trace.update(map(frozenset, rows.tolist()))
         return words
 
-    def value(self, positions: Iterable[int], stream: int = 0) -> float:
+    def value(self, positions: Collection[int], stream: int = 0) -> float:
         return (self.raw(positions, stream) >> 11) * 2.0**-53
 
-    def bit(self, positions: Iterable[int], index: int, base_stream: int = 0) -> int:
+    def bit(self, positions: Collection[int], index: int, base_stream: int = 0) -> int:
         stream, offset = divmod(index, BITS_PER_STREAM)
         mantissa = self.raw(positions, base_stream + stream) >> 11
         return (mantissa >> (52 - offset)) & 1
 
-    def prefix(self, positions: Iterable[int], count: int, base_stream: int = 0) -> int:
+    def prefix(self, positions: Collection[int], count: int, base_stream: int = 0) -> int:
         """First `count` expansion bits as an int, most significant first; one read per word."""
         out = 0
         for stream, start in enumerate(range(0, count, BITS_PER_STREAM), base_stream):

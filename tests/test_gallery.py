@@ -469,6 +469,24 @@ def test_maxgraph_matches_the_reference_at_large_n(d):
         assert got_trace == want_trace
 
 
+@pytest.mark.parametrize("sampler, reference", [
+    (KaleidoscopeDigraph(3), reference_digraph),
+    (BipartiteLabels(3, 4), reference_bipartite),
+])
+def test_atom_index_samplers_match_the_reference_past_64_atoms(sampler, reference):
+    # these set their atoms' bits by index; past 64 true atoms the bits are
+    # packed as one digit string, a path n < 7 never reaches
+    n = 20
+    key = SEED.child("wide", sampler.name, n)
+    remap = dict(enumerate(random.Random(sampler.name).sample(range(3 * n), n)))
+    for family in ({}, {"remap": remap}):
+        got_trace, want_trace = set(), set()
+        got = sampler.type_fn(n, XiFamily(key, trace=got_trace, **family))
+        assert bin(got.bits).count("1") >= 64
+        assert got == reference(sampler, n, XiFamily(key, trace=want_trace, **family))
+        assert got_trace == want_trace
+
+
 def test_bulk_and_one_at_a_time_kaleidoscopes_cohere():
     # n = 12 draws its 220 sets in bulk, m = 5 its 10 one at a time;
     # restriction compares the two, and the permuted family remaps the bulk rows
