@@ -4,12 +4,23 @@ Every random quantity in this package is a pure function of a 128-bit
 master key. A single uniform value is addressed by a finite set of
 naturals plus a stream index; the same (key, set, stream) always yields
 the same number, and distinct addresses behave like independent
-uniforms. One encoder, `_encode_frozenset`, writes an address as the
-keyed hash's payload; it is canonical (sorted, length-prefixed), so the
-order in which callers list the elements never matters. One row writer,
-`_row_words`, writes the same bytes for many same-size addresses at once
-and hashes them: `xi_words` is its singleton case, and `XiFamily.raw_rows`
-reads a family's words through it.
+uniforms.
+
+Words drawn one at a time take one path, `XiFamily.raw`: `value`, `bit`
+and `prefix` read through it, and `xi_raw` is the raw of a plain family.
+It remaps the positions, maps (positions, stream) to the keyed hash's
+payload through `_encode_frozenset`, hashes that payload under a copy of
+the family's keyed state, and traces. The payload is canonical (sorted,
+distinct, length-prefixed), so the order in which callers list the
+elements never matters. Nothing keeps a word: a re-read hashes again and
+gets the same word. The caches that remain are `functools` caches:
+`_encode_frozenset` of payloads, typed so that 2.0 is refused even after
+2, and `_keyed_hasher` and `_child_hasher` of a master key's keyed states.
+
+Words drawn many at once take one row writer, `_row_words`, which writes
+the same payloads for many same-size addresses and hashes them:
+`xi_words` is its singleton case, and `XiFamily.raw_rows` reads a
+family's words through it.
 """
 
 from __future__ import annotations
@@ -168,9 +179,9 @@ class XiFamily:
     rather than statistical.
 
     Every read (`raw`, and `value`, `bit` and `prefix` through it) takes
-    one path: remap, trace, then `_word` under the family's keyed state,
-    the same word xi_raw gives. The family keeps no words: a re-read
-    hashes again. Only the payloads are cached, in _encode_frozenset.
+    one path: remap, the payload from _encode_frozenset, a copy of the
+    family's keyed state to hash it, trace. The family keeps no words: a
+    re-read hashes again and gets the same word.
     """
 
     __slots__ = ("remap", "trace", "_hasher")
@@ -178,7 +189,7 @@ class XiFamily:
     def __init__(self, key: SeedKey, remap=None, trace: set | None = None):
         self.remap = remap
         self.trace = trace
-        # keyed hash state copied per read: the same digests as xi_raw
+        # the keyed hash state, copied per read
         self._hasher = hashlib.blake2b(digest_size=8, key=key.master.to_bytes(16, "big"))
 
     def raw(self, positions: Collection[int], stream: int = 0) -> int:

@@ -70,7 +70,8 @@ def _realizations(M: FiniteStructure, m: int, sub: tuple[int, ...]):
 
     Returns the tuples in itertools.permutations order, as tuples and as
     the rows of an int array, and a dict from fingerprint bits to the row
-    numbers realizing them; CeilingError past MAX_ROOT_TUPLES tuples.
+    numbers realizing them, ascending, with the fingerprints in the order
+    of their first rows; CeilingError past MAX_ROOT_TUPLES tuples.
     """
     if (count := math.perm(M.domain_size, m)) > MAX_ROOT_TUPLES:
         raise CeilingError(f"{m} variables over {M.domain_size} points make {count} tuples,"
@@ -78,10 +79,18 @@ def _realizations(M: FiniteStructure, m: int, sub: tuple[int, ...]):
     tuples = list(itertools.permutations(range(M.domain_size), m))
     rows = np.array(tuples, dtype=np.intp).reshape(count, m)
     packed = np.packbits(fingerprint_bits(M, rows, sub), axis=1, bitorder="little")
-    groups: dict[bytes, list[int]] = {}
-    for row, key in enumerate(map(bytes, packed)):
-        groups.setdefault(key, []).append(row)
-    return tuples, rows, {int.from_bytes(key, "little"): group for key, group in groups.items()}
+    # each row's bytes, and a zero byte that keeps the width positive, as one
+    # void scalar: equal fingerprints are equal scalars, read little-endian
+    packed = np.concatenate((packed, np.zeros((count, 1), dtype=np.uint8)), axis=1)
+    keys = packed.view(f"V{packed.shape[1]}").ravel()
+    _, first, group_of = np.unique(keys, return_index=True, return_inverse=True)
+    by_group = np.argsort(group_of, kind="stable").tolist()  # ascending within a group
+    ends = np.cumsum(np.bincount(group_of)).tolist()
+    heads = keys[first].tolist()
+    return tuples, rows, {
+        int.from_bytes(heads[g], "little"): by_group[ends[g - 1] if g else 0 : ends[g]]
+        for g in np.argsort(first).tolist()
+    }
 
 
 def _root_report(fp: TypeFingerprint, hits: list[tuple[int, ...]]) -> RootReport:

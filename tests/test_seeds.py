@@ -10,6 +10,7 @@ from ergodic.seeds import (
     BITS_PER_STREAM,
     SeedKey,
     XiFamily,
+    _encode_frozenset,
     _keyed_hasher,
     _row_words,
     xi_raw,
@@ -82,6 +83,31 @@ def test_non_integer_addresses_are_refused_not_truncated():
         xi_raw(KEY, [1], stream=0.5)
     # integer-like elements still address the int they equal
     assert xi_raw(KEY, [np.int64(3), np.uint8(1)], np.int32(2)) == xi_raw(KEY, [1, 3], 2)
+
+
+@pytest.mark.parametrize("float_first", [True, False])
+def test_integral_floats_are_refused_whatever_was_drawn_before(float_first):
+    # the payload cache is keyed by the positions as given, and (2.0,) == (2,):
+    # a float must be refused from a cold cache and from one holding its int
+    xs = XiFamily(KEY)
+    floats = [lambda: xi_raw(KEY, [2.0]), lambda: xs.raw((3.0,)), lambda: xs.raw((3, 4.0)),
+              lambda: xi_raw(KEY, [2], 2.0), lambda: xs.value(frozenset({5.0}))]
+    ints = [lambda: xi_raw(KEY, [2]), lambda: xs.raw((3,)), lambda: xs.raw((3, 4)),
+            lambda: xi_raw(KEY, [2], 2), lambda: xs.value(frozenset({5}))]
+    _encode_frozenset.cache_clear()
+    for refused, drawn in zip(floats, ints):
+        if float_first:
+            with pytest.raises(TypeError):
+                refused()
+            drawn()
+        else:
+            drawn()
+        with pytest.raises(TypeError):
+            refused()
+    # numpy integers still address the int they equal, cached or not
+    assert xs.raw((np.int64(3),)) == xs.raw((3,)) == xi_raw(KEY, [np.uint8(3)])
+    _encode_frozenset.cache_clear()
+    assert xs.raw((np.int64(3), 4), np.int32(0)) == xs.raw((4, 3))
 
 
 def test_values_deterministic_and_distinct():

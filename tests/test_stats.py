@@ -16,10 +16,11 @@ from ergodic.logic import (
     Not,
     Signature,
     TypeFingerprint,
+    fingerprint_bits,
     qf_fingerprint,
 )
 from ergodic.seeds import SeedKey
-from ergodic.stats import collision_stat, find_roots, rootedness_check
+from ergodic.stats import _realizations, collision_stat, find_roots, rootedness_check
 
 SEED = SeedKey.from_hex("00112233445566778899aabbccddeeff")
 DISTINCT = Not(Eq(0, 1))
@@ -64,6 +65,25 @@ def test_find_roots_agrees_with_naive_scan():
             assert list(rep.tuples) == tuples
             assert list(rep.roots) == roots
             assert rep.rooted == bool(roots)
+
+
+@pytest.mark.parametrize("sampler, n, m", [
+    (MaxGraph(16), 30, 2),  # the benchmark's roots sweep: 870 rows, few types
+    (KaleidoscopeHypergraph(2, 2), 7, 3),
+    (BlowupControl(2), 6, 2),
+    (KaleidoscopeHypergraph(2, 1), 5, 0),  # one empty tuple, a fingerprint of no bits
+    (BlowupControl(1), 3, 4),  # more variables than points: no tuples
+])
+def test_realizations_group_rows_as_a_dict_loop_does(sampler, n, m):
+    M = sample(sampler, n, SEED.child("realize", n, m))
+    sub = tuple(range(len(M.signature)))
+    tuples, rows, realized = _realizations(M, m, sub)
+    assert tuples == list(itertools.permutations(range(n), m))
+    want: dict[int, list[int]] = {}  # fingerprints in the order of their first rows
+    for row, bits in enumerate(fingerprint_bits(M, rows, sub).tolist()):
+        key = sum(1 << k for k, bit in enumerate(bits) if bit)
+        want.setdefault(key, []).append(row)
+    assert list(realized.items()) == list(want.items())
 
 
 def test_disjoint_realizations_are_not_rooted():
