@@ -89,11 +89,13 @@ def test_non_integer_addresses_are_refused_not_truncated():
 def test_integral_floats_are_refused_whatever_was_drawn_before(float_first):
     # the payload cache is keyed by the positions as given, and (2.0,) == (2,):
     # a float must be refused from a cold cache and from one holding its int
-    xs = XiFamily(KEY)
+    xs, mapped = XiFamily(KEY), XiFamily(KEY, remap={6: 1})
     floats = [lambda: xi_raw(KEY, [2.0]), lambda: xs.raw((3.0,)), lambda: xs.raw((3, 4.0)),
-              lambda: xi_raw(KEY, [2], 2.0), lambda: xs.value(frozenset({5.0}))]
+              lambda: xi_raw(KEY, [2], 2.0), lambda: xs.value(frozenset({5.0})),
+              lambda: mapped.raw((6.0,))]
     ints = [lambda: xi_raw(KEY, [2]), lambda: xs.raw((3,)), lambda: xs.raw((3, 4)),
-            lambda: xi_raw(KEY, [2], 2), lambda: xs.value(frozenset({5}))]
+            lambda: xi_raw(KEY, [2], 2), lambda: xs.value(frozenset({5})),
+            lambda: mapped.raw((6,))]
     _encode_frozenset.cache_clear()
     for refused, drawn in zip(floats, ints):
         if float_first:
